@@ -197,10 +197,11 @@ BENCHMARK(BM_SolverKindsNonlinear)
     ->Unit(benchmark::kMillisecond);
 
 // One stateAwareSolve round's workload — a grid of per-branch residual
-// solves against the warm state — fanned across the work-stealing pool.
-// The argument is the lane count (GenOptions.jobs / stcg_cli --jobs).
-// Real time should drop with lanes up to the core count; on a
-// single-core host all lanes time-slice and the curve stays flat.
+// solves against the warm state — fanned across the pool, whose lanes
+// claim chunks of cells from one shared cursor. The argument is the lane
+// count (GenOptions.jobs / stcg_cli --jobs). Real time can drop with
+// lanes only up to the core count; EXPERIMENTS.md records the measured
+// curve.
 void BM_ParallelSolveGrid(benchmark::State& state) {
   const auto& cm = cpuTask();
   const auto env = stateEnvOf(warmState());

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace stcg {
 
@@ -10,14 +11,10 @@ int ThreadPool::hardwareThreads() {
 }
 
 ThreadPool::ThreadPool(int threads) : threads_(std::max(threads, 1)) {
-  shards_.reserve(static_cast<std::size_t>(threads_));
-  for (int i = 0; i < threads_; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Lane 0 is the caller of parallelFor; only lanes 1.. get threads.
+  // The caller of parallelFor is one lane; only the others get threads.
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int lane = 1; lane < threads_; ++lane) {
-    workers_.emplace_back([this, lane] { workerLoop(lane); });
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -30,84 +27,41 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::recordException(std::size_t index) {
-  std::lock_guard<std::mutex> lock(errM_);
-  if (firstError_ == nullptr || index < errIndex_) {
-    firstError_ = std::current_exception();
-    errIndex_ = index;
-  }
-}
-
-void ThreadPool::runLane(int lane) {
-  const auto settle = [this](std::size_t count) {
+void ThreadPool::run(const std::function<void(std::size_t)>& body,
+                     std::size_t i) {
+  try {
+    body(i);
+  } catch (...) {
     std::lock_guard<std::mutex> lock(m_);
-    pending_ -= count;
-    if (pending_ == 0) doneCv_.notify_all();
-  };
-
-  Shard& own = *shards_[static_cast<std::size_t>(lane)];
-  for (;;) {
-    // Drain the owned slice. Claiming a task under the shard mutex
-    // happens-after the caller dealt the slice, which happens-after it
-    // published body_ — so the loaded pointer is always current.
-    for (;;) {
-      std::size_t i;
-      {
-        std::lock_guard<std::mutex> lock(own.m);
-        if (own.next >= own.end) break;
-        i = own.next++;
-      }
-      const auto* body = body_.load(std::memory_order_acquire);
-      try {
-        (*body)(i);
-      } catch (...) {
-        recordException(i);
-      }
-      settle(1);
-    }
-    // Steal the back half of the largest remaining slice.
-    int victim = -1;
-    std::size_t victimSize = 0;
-    for (int v = 0; v < threads_; ++v) {
-      if (v == lane) continue;
-      Shard& s = *shards_[static_cast<std::size_t>(v)];
-      std::lock_guard<std::mutex> lock(s.m);
-      const std::size_t size = s.end - s.next;
-      if (size > victimSize) {
-        victimSize = size;
-        victim = v;
-      }
-    }
-    if (victim < 0) return;  // nothing left anywhere
-    Shard& s = *shards_[static_cast<std::size_t>(victim)];
-    std::size_t begin = 0, end = 0;
-    {
-      std::lock_guard<std::mutex> lock(s.m);
-      const std::size_t size = s.end - s.next;
-      if (size == 0) continue;  // raced with the victim; rescan
-      const std::size_t take = std::max<std::size_t>(size / 2, 1);
-      end = s.end;
-      begin = s.end - take;
-      s.end = begin;
-    }
-    {
-      std::lock_guard<std::mutex> lock(own.m);
-      own.next = begin;
-      own.end = end;
+    if (firstError_ == nullptr || i < errIndex_) {
+      firstError_ = std::current_exception();
+      errIndex_ = i;
     }
   }
 }
 
-void ThreadPool::workerLoop(int lane) {
-  std::uint64_t seenEpoch = 0;
+void ThreadPool::drain() {
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_.wait(lock, [&] { return stop_ || epoch_ != seenEpoch; });
-      if (stop_) return;
-      seenEpoch = epoch_;
-    }
-    runLane(lane);
+    const std::size_t begin =
+        cursor_.fetch_add(chunk_, std::memory_order_relaxed);
+    if (begin >= n_) return;
+    const std::size_t end = std::min(begin + chunk_, n_);
+    for (std::size_t i = begin; i < end; ++i) run(*body_, i);
+  }
+}
+
+void ThreadPool::workerLoop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(m_);
+  for (;;) {
+    cv_.wait(lock, [&] { return stop_ || (open_ && epoch_ != seen); });
+    if (stop_) return;
+    seen = epoch_;
+    ++active_;
+    lock.unlock();
+    drain();
+    lock.lock();
+    if (--active_ == 0 && !open_) doneCv_.notify_one();
   }
 }
 
@@ -115,45 +69,34 @@ void ThreadPool::parallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
   if (threads_ <= 1) {
-    // Sequential path: same settle-then-rethrow contract, no threads.
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        recordException(i);
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) run(body, i);
   } else {
-    // Publish the body and the task count BEFORE dealing work: a straggler
-    // lane from the previous batch may legitimately claim freshly dealt
-    // tasks while scanning for steals, and must find a valid body.
     {
+      // active_ is 0 here: the previous call waited for it before
+      // returning, so no worker still reads the batch being replaced.
       std::lock_guard<std::mutex> lock(m_);
-      pending_ = n;
+      body_ = &body;
+      n_ = n;
+      chunk_ = std::max<std::size_t>(
+          n / (8 * static_cast<std::size_t>(threads_)), 1);
+      cursor_.store(0, std::memory_order_relaxed);
+      open_ = true;
       ++epoch_;
     }
-    body_.store(&body, std::memory_order_release);
-    // Deal contiguous chunks; lane l gets [l*n/T, (l+1)*n/T).
-    const auto t = static_cast<std::size_t>(threads_);
-    for (std::size_t l = 0; l < t; ++l) {
-      Shard& s = *shards_[l];
-      std::lock_guard<std::mutex> lock(s.m);
-      s.next = l * n / t;
-      s.end = (l + 1) * n / t;
-    }
     cv_.notify_all();
-    runLane(0);
+    drain();
+    // The cursor is exhausted; close the batch so no late worker joins,
+    // then wait for the ones that did to finish their claimed chunks.
     {
       std::unique_lock<std::mutex> lock(m_);
-      doneCv_.wait(lock, [&] { return pending_ == 0; });
+      open_ = false;
+      doneCv_.wait(lock, [&] { return active_ == 0; });
     }
   }
   std::exception_ptr err;
   {
-    std::lock_guard<std::mutex> lock(errM_);
-    err = firstError_;
-    firstError_ = nullptr;
-    errIndex_ = 0;
+    std::lock_guard<std::mutex> lock(m_);
+    err = std::exchange(firstError_, nullptr);
   }
   if (err) std::rethrow_exception(err);
 }

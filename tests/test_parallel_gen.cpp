@@ -1,15 +1,18 @@
 // Parallel generation tests: the determinism contract of the threaded
 // state-aware solve loop (same seed => byte-identical suite for any
-// --jobs value), the work-stealing pool itself, counter-based RNG
+// --jobs value), the claim-cursor thread pool itself, counter-based RNG
 // streams, snapshot-hash dedup, and the typed errors that replaced
 // assert-only validity checks (NDEBUG safety).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "benchmodels/benchmodels.h"
 #include "compile/compiler.h"
 #include "expr/builder.h"
 #include "model/model.h"
@@ -114,6 +117,32 @@ TEST(ThreadPool, SurvivesManyBatches) {
       count.fetch_add(1, std::memory_order_relaxed);
     });
     ASSERT_EQ(count.load(), 17) << "batch " << batch;
+  }
+}
+
+TEST(ThreadPool, OversubscribedHandoverStress) {
+  // Many more lanes than cores and thousands of back-to-back tiny batches:
+  // workers are still waking for batch k when batch k+1 opens, which is
+  // exactly when a lane could carry a claim across the handover (lost or
+  // doubled indices, or a caller waiting forever). Each index yields the
+  // core so that waking workers join mid-batch instead of finding it done;
+  // the work-stealing pool this replaced failed this test in 10 of 10 runs
+  // on a 4-core host.
+  const int lanes = std::max(32, 4 * ThreadPool::hardwareThreads());
+  ThreadPool pool(lanes);
+  constexpr std::size_t kMaxN = 64;
+  std::vector<std::atomic<int>> hits(kMaxN);
+  for (int batch = 0; batch < 10000; ++batch) {
+    const std::size_t n = 1 + static_cast<std::size_t>(batch * 37) % kMaxN;
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    pool.parallelFor(n, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::yield();
+    });
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+      ASSERT_EQ(hits[i].load(std::memory_order_relaxed), i < n ? 1 : 0)
+          << "batch " << batch << " n " << n << " index " << i;
+    }
   }
 }
 
@@ -327,6 +356,28 @@ TEST(ParallelGen, JobsZeroMeansHardwareConcurrencyAndStaysDeterministic) {
 
 TEST(ParallelGen, RepeatedThreadedRunsAreIdentical) {
   expectIdentical(runLatch(8), runLatch(8), "jobs=8 repeat");
+}
+
+// A real bench model at a fixed round cap: these 200 LANSwitch rounds fan
+// 775K (goal × node) cells across the pool, thousands per round, which the
+// toy models above never do. The round cap, not the wall clock, ends the run,
+// and the per-query budget is generous so it never binds on a loaded host.
+GenResult runLanSwitch(int jobs) {
+  const auto cm = compile::compile(bench::buildBenchModel("LANSwitch"));
+  GenOptions opt;
+  opt.budgetMillis = 600000;
+  opt.seed = 1;
+  opt.solver.timeBudgetMillis = 60000;
+  opt.maxRounds = 200;
+  opt.jobs = jobs;
+  StcgGenerator g;
+  return g.generate(cm, opt);
+}
+
+TEST(ParallelGen, BenchModelGridDeterministicAcrossJobs) {
+  const auto seq = runLanSwitch(1);
+  EXPECT_GT(seq.stats.solveCalls, 0);
+  expectIdentical(seq, runLanSwitch(4), "LANSwitch jobs=4");
 }
 
 TEST(ParallelGen, FullGoalSetDeterministicAcrossJobs) {
