@@ -1,14 +1,11 @@
-// Evaluation-engine microbenchmark: tree Evaluator vs compiled tape vs
-// the native JIT.
+// Evaluation-engine microbenchmark: tree Evaluator vs compiled tape.
 //
 // Two production hot loops, measured per bench model:
 //   - simulation throughput (steps/sec): Simulator::step with a coverage
-//     tracker, tree engine vs tape engine vs JIT engine, identical input
-//     streams (JIT columns report 0 when no toolchain is available);
+//     tracker, tree engine vs tape engine, identical input streams;
 //   - solver scoring throughput (candidates/sec): the hill climber's
 //     single-coordinate candidate scoring, tree branchDistance vs a full
-//     DistanceTape rebind vs the incremental dirty-cone update path,
-//     interpreted and JIT-compiled.
+//     DistanceTape rebind vs the incremental dirty-cone update path.
 // The scored goal is the disjunction of the model's non-constant branch
 // residuals at the initial state — the same partial-evaluation product the
 // STCG solve loop hands to the solver.
@@ -53,8 +50,8 @@ double secondsSince(Clock::time_point t0) {
 
 struct Row {
   std::string name;
-  double stepsTree = 0, stepsTape = 0, stepsJit = 0;
-  double candTree = 0, candRebind = 0, candIncr = 0, candJitIncr = 0;
+  double stepsTree = 0, stepsTape = 0;
+  double candTree = 0, candRebind = 0, candIncr = 0;
   std::size_t tapeInstrs = 0, maxCone = 0, overlayInstrs = 0;
   // Pass-pipeline shrink of the simulation ModelTape (instruction count
   // and dense scalar slot frame, raw build vs optimized).
@@ -63,10 +60,6 @@ struct Row {
 
   [[nodiscard]] double stepSpeedup() const {
     return stepsTree > 0 ? stepsTape / stepsTree : 0;
-  }
-  /// Native step throughput over the interpreted tape (0 = JIT unavailable).
-  [[nodiscard]] double jitStepSpeedup() const {
-    return stepsTape > 0 ? stepsJit / stepsTape : 0;
   }
   [[nodiscard]] double incrSpeedup() const {
     return candTree > 0 ? candIncr / candTree : 0;
@@ -126,18 +119,7 @@ expr::ExprPtr residualGoal(const compile::CompiledModel& cm) {
   return expr::geE(expr::mkVar(v), expr::cReal((v.lo + v.hi) * 0.5));
 }
 
-/// Can this environment run the JIT at all? Probed once with the first
-/// model; when false (no compiler / dlopen) the JIT columns report 0 and
-/// the quick gate skips them, mirroring the library's graceful fallback.
-bool jitAvailable(const compile::CompiledModel& cm) {
-  const sim::Simulator probe(cm, sim::EvalEngine::kJit);
-  if (probe.engine() == sim::EvalEngine::kJit) return true;
-  std::fprintf(stderr, "note: JIT unavailable (%s); jit columns report 0\n",
-               probe.jitFallbackReason().c_str());
-  return false;
-}
-
-enum class CandMode { kTree, kRebind, kIncremental, kJitIncremental };
+enum class CandMode { kTree, kRebind, kIncremental };
 
 double measureCandidatesPerSec(const expr::ExprPtr& goal,
                                const std::vector<expr::VarInfo>& vars,
@@ -166,8 +148,7 @@ double measureCandidatesPerSec(const expr::ExprPtr& goal,
     return env;
   };
 
-  solver::DistanceTape dt(goal, vars,
-                          /*useJit=*/mode == CandMode::kJitIncremental);
+  solver::DistanceTape dt(goal, vars);
   (void)dt.rebind(point);
   double sink = 0;  // defeat dead-code elimination of the measured work
   std::size_t cands = 0;
@@ -184,7 +165,6 @@ double measureCandidatesPerSec(const expr::ExprPtr& goal,
           sink += dt.rebind(point);
           break;
         case CandMode::kIncremental:
-        case CandMode::kJitIncremental:
           sink += dt.update(moved, point[moved]);
           break;
       }
@@ -209,17 +189,15 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
         buf, sizeof buf,
         "    {\"name\": \"%s\", \"steps_per_sec_tree\": %.0f, "
         "\"steps_per_sec_tape\": %.0f, \"step_speedup\": %.2f, "
-        "\"steps_per_sec_jit\": %.0f, \"jit_step_speedup\": %.2f, "
         "\"cand_per_sec_tree\": %.0f, \"cand_per_sec_rebind\": %.0f, "
-        "\"cand_per_sec_incremental\": %.0f, "
-        "\"cand_per_sec_jit_incremental\": %.0f, \"incr_speedup\": %.2f, "
+        "\"cand_per_sec_incremental\": %.0f, \"incr_speedup\": %.2f, "
         "\"tape_instrs\": %zu, \"max_cone\": %zu, \"overlay_instrs\": %zu, "
         "\"sim_instrs_raw\": %zu, \"sim_instrs_opt\": %zu, "
         "\"sim_slots_raw\": %zu, \"sim_slots_opt\": %zu, "
         "\"instr_shrink_pct\": %.1f, \"slot_shrink_pct\": %.1f}%s\n",
         r.name.c_str(), r.stepsTree, r.stepsTape, r.stepSpeedup(),
-        r.stepsJit, r.jitStepSpeedup(), r.candTree, r.candRebind, r.candIncr,
-        r.candJitIncr, r.incrSpeedup(), r.tapeInstrs, r.maxCone,
+        r.candTree, r.candRebind, r.candIncr, r.incrSpeedup(), r.tapeInstrs,
+        r.maxCone,
         r.overlayInstrs, r.simInstrsRaw, r.simInstrsOpt, r.simSlotsRaw,
         r.simSlotsOpt, r.instrShrinkPct(), r.slotShrinkPct(),
         i + 1 < rows.size() ? "," : "");
@@ -262,14 +240,8 @@ int run(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
-  bool haveJit = false;
-  bool jitProbed = false;
   for (const auto& info : bench::allBenchModels()) {
     const auto cm = compile::compile(info.build());
-    if (!jitProbed) {
-      haveJit = jitAvailable(cm);
-      jitProbed = true;
-    }
     Row row;
     row.name = info.name;
 
@@ -288,11 +260,6 @@ int run(int argc, char** argv) {
     row.stepsTape = benchx::medianOf(repeat, [&] {
       return measureStepsPerSec(cm, sim::EvalEngine::kTape, inputs, window);
     });
-    if (haveJit) {
-      row.stepsJit = benchx::medianOf(repeat, [&] {
-        return measureStepsPerSec(cm, sim::EvalEngine::kJit, inputs, window);
-      });
-    }
 
     const auto goal = residualGoal(cm);
     const auto vars = cm.inputInfos();
@@ -310,38 +277,23 @@ int run(int argc, char** argv) {
       return measureCandidatesPerSec(goal, vars, CandMode::kIncremental,
                                      window);
     });
-    if (haveJit) {
-      row.candJitIncr = benchx::medianOf(repeat, [&] {
-        return measureCandidatesPerSec(goal, vars, CandMode::kJitIncremental,
-                                       window);
-      });
-    }
     rows.push_back(std::move(row));
   }
 
-  std::printf("%-12s %12s %12s %12s %8s %12s %12s %12s %12s %8s\n", "model",
-              "steps/s tree", "steps/s tape", "steps/s jit", "jit/tape",
-              "cand/s tree", "cand/s reb", "cand/s incr", "cand/s jit",
-              "speedup");
-  int stepWins = 0, incrWins = 0, jitWins = 0;
+  std::printf("%-12s %12s %12s %12s %12s %12s %8s\n", "model",
+              "steps/s tree", "steps/s tape", "cand/s tree", "cand/s reb",
+              "cand/s incr", "speedup");
+  int stepWins = 0, incrWins = 0;
   for (const Row& r : rows) {
-    std::printf(
-        "%-12s %12.0f %12.0f %12.0f %7.2fx %12.0f %12.0f %12.0f %12.0f "
-        "%7.2fx\n",
-        r.name.c_str(), r.stepsTree, r.stepsTape, r.stepsJit,
-        r.jitStepSpeedup(), r.candTree, r.candRebind, r.candIncr,
-        r.candJitIncr, r.incrSpeedup());
+    std::printf("%-12s %12.0f %12.0f %12.0f %12.0f %12.0f %7.2fx\n",
+                r.name.c_str(), r.stepsTree, r.stepsTape, r.candTree,
+                r.candRebind, r.candIncr, r.incrSpeedup());
     stepWins += r.stepSpeedup() >= 3.0 ? 1 : 0;
     incrWins += r.incrSpeedup() >= 5.0 ? 1 : 0;
-    jitWins += r.jitStepSpeedup() >= 1.5 ? 1 : 0;
   }
   std::printf("models with step speedup >= 3x: %d/%zu; incremental "
               "candidate speedup >= 5x: %d/%zu\n",
               stepWins, rows.size(), incrWins, rows.size());
-  if (haveJit) {
-    std::printf("models with jit step speedup >= 1.5x over tape: %d/%zu\n",
-                jitWins, rows.size());
-  }
 
   std::printf("\n%-12s %16s %18s %8s\n", "model", "sim instrs",
               "sim scalar slots", "shrink");

@@ -5,7 +5,7 @@
 
 namespace stcg::compile {
 
-ModelTape buildModelTape(const CompiledModel& cm, bool wantJit) {
+ModelTape buildModelTape(const CompiledModel& cm) {
   expr::TapeBuilder b;
   ModelTape mt;
 
@@ -64,11 +64,6 @@ ModelTape buildModelTape(const CompiledModel& cm, bool wantJit) {
         mt.rawTape->scalarSlotCount();
     mt.passStats.arraySlotsBefore = mt.passStats.arraySlotsAfter =
         mt.rawTape->arraySlotCount();
-  }
-
-  if (wantJit) {
-    mt.jit = expr::TapeJit::compile(mt.tape, expr::TapeJit::Options{},
-                                    &mt.jitError);
   }
   return mt;
 }

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "compile/compiled_model.h"
-#include "expr/jit.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
 
@@ -38,18 +36,9 @@ struct ModelTape {
   std::vector<expr::SlotRef> objectiveConds;
   std::vector<expr::SlotRef> outputs;
   std::vector<expr::SlotRef> stateNext;  // scalar or array per StateVar
-
-  /// Native module for `tape` when requested and buildable; nullptr with
-  /// `jitError` describing why otherwise (callers fall back to the
-  /// interpreted tape).
-  std::shared_ptr<const expr::TapeJit> jit;
-  std::string jitError;
 };
 
-/// Compile all of `cm`'s roots into one tape. With `wantJit`, additionally
-/// emit + load a native module for the final tape (best effort: an
-/// unavailable toolchain leaves `jit` null and fills `jitError`).
-[[nodiscard]] ModelTape buildModelTape(const CompiledModel& cm,
-                                       bool wantJit = false);
+/// Compile all of `cm`'s roots into one tape.
+[[nodiscard]] ModelTape buildModelTape(const CompiledModel& cm);
 
 }  // namespace stcg::compile

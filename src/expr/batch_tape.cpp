@@ -51,8 +51,8 @@ BatchTapeExecutor::BatchTapeExecutor(std::shared_ptr<const Tape> tape,
   const std::size_t na = tape_->arraySlotCount();
   const auto B = static_cast<std::size_t>(lanes_);
 
-  // Static slot typing, shared with the verifier and the JIT
-  // (analyzeTapeStaticTypes; see its doc for the per-op derivation).
+  // Static slot typing, shared with the verifier (analyzeTapeStaticTypes;
+  // see its doc for the per-op derivation).
   // Consuming the per-slot summary in place of a per-program-point walk
   // is sound because array slots are never shared by the optimizer
   // (tape_passes.cpp: "arrays never share") and shared scalar slots only

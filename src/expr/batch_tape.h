@@ -28,7 +28,7 @@
 // binding's coercion type, and each instruction's result type follows
 // from applyUnary/applyBinary (e.g. a comparison is always kBool, kNeg is
 // kInt even over kBool input); the derivation is shared with the verifier
-// and the JIT (expr/tape_verify.h analyzeTapeStaticTypes). The single
+// (expr/tape_verify.h analyzeTapeStaticTypes). The single
 // exception is kSelect: bound arrays keep their elements uncast
 // (mirroring setArrayVar), so an element read can have any per-lane type.
 // Instructions whose scalar operands are all statically typed run through

@@ -45,17 +45,6 @@ std::int64_t Scalar::toInt() const {
   return 0;
 }
 
-const char* saturatingRealToIntC() {
-  // Keep in lockstep with saturatingRealToInt in scalar.h: isfinite guard,
-  // the ±9.2e18 clamps, then a plain truncating cast.
-  return "static inline i64 sat_i64(double r) {\n"
-         "  if (!isfinite(r)) return 0;\n"
-         "  if (r >= 9.2e18) return INT64_MAX;\n"
-         "  if (r <= -9.2e18) return INT64_MIN;\n"
-         "  return (i64)r;\n"
-         "}\n";
-}
-
 bool Scalar::toBool() const {
   switch (type()) {
     case Type::kBool: return asBool();

@@ -21,22 +21,15 @@ enum class Type { kBool, kInt, kReal };
 /// The canonical saturating real -> int64 conversion every engine shares:
 /// non-finite maps to 0, values beyond ±9.2e18 clamp to INT64_MAX/MIN
 /// (the nearest representable int64 boundaries a double can express), and
-/// everything else truncates toward zero. Scalar::toInt, the batch
-/// executor's lane kernels and the tape JIT's emitted C (see
-/// saturatingRealToIntC) are all this one function, so the engines cannot
-/// drift on the cast edge cases.
+/// everything else truncates toward zero. Scalar::toInt and the batch
+/// executor's lane kernels are both this one function, so the engines
+/// cannot drift on the cast edge cases.
 [[nodiscard]] inline std::int64_t saturatingRealToInt(double r) {
   if (!std::isfinite(r)) return 0;
   if (r >= 9.2e18) return INT64_MAX;
   if (r <= -9.2e18) return INT64_MIN;
   return static_cast<std::int64_t>(r);
 }
-
-/// C source of saturatingRealToInt (a `static inline i64 sat_i64(double)`
-/// definition), emitted verbatim into every JIT translation unit. Defined
-/// next to the C++ inline in scalar.cpp so the two bodies are reviewed as
-/// one unit.
-[[nodiscard]] const char* saturatingRealToIntC();
 
 /// One typed scalar. Immutable after construction.
 class Scalar {

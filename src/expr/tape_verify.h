@@ -11,8 +11,7 @@
 // reallocation) is cone-coherent. Until now those invariants were only
 // exercised dynamically by differential fuzz; verifyTape() proves them
 // statically, with one typed finding per violation, so a corrupted or
-// mis-optimized tape is rejected before an executor ever runs it — and
-// so the planned tape->native JIT has a checked IR to emit from.
+// mis-optimized tape is rejected before an executor ever runs it.
 //
 // Findings carry stable kebab-case ids (tapeIssueCheckId) surfaced
 // through `stcg_cli lint --tape`. requireVerifiedTape() throws EvalError

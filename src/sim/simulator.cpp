@@ -49,18 +49,7 @@ std::uint64_t snapshotHash(const StateSnapshot& s) {
 
 Simulator::Simulator(const compile::CompiledModel& cm, EvalEngine engine)
     : cm_(&cm), engine_(engine) {
-  if (engine_ == EvalEngine::kJit) {
-    modelTape_ = compile::buildModelTape(cm, /*wantJit=*/true);
-    if (modelTape_.jit != nullptr) {
-      jitExec_.emplace(modelTape_.tape, modelTape_.jit);
-    } else {
-      // Environment failure (no compiler, dlopen unavailable, ...): the
-      // interpreted tape is bit-identical, so degrade rather than fail.
-      engine_ = EvalEngine::kTape;
-      jitFallback_ = modelTape_.jitError;
-      exec_.emplace(modelTape_.tape);
-    }
-  } else if (engine_ == EvalEngine::kTape) {
+  if (engine_ == EvalEngine::kTape) {
     modelTape_ = compile::buildModelTape(cm);
     exec_.emplace(modelTape_.tape);
   }
@@ -105,12 +94,7 @@ StepResult Simulator::step(const InputVector& in,
                    " value(s), model '" + cm_->name + "' expects " +
                    std::to_string(cm_->inputs.size()));
   }
-  switch (engine_) {
-    case EvalEngine::kJit: return stepWith(*jitExec_, in, cov);
-    case EvalEngine::kTape: return stepWith(*exec_, in, cov);
-    case EvalEngine::kTree: break;
-  }
-  return stepTree(in, cov);
+  return engine_ == EvalEngine::kTape ? stepTape(in, cov) : stepTree(in, cov);
 }
 
 StepResult Simulator::stepTree(const InputVector& in,
@@ -191,14 +175,12 @@ StepResult Simulator::stepTree(const InputVector& in,
   return result;
 }
 
-template <typename Executor>
-StepResult Simulator::stepWith(Executor& ex, const InputVector& in,
+StepResult Simulator::stepTape(const InputVector& in,
                                coverage::CoverageTracker* cov) {
   // One linear pass computes every root; the coverage/output/next-state
   // logic below reads slots in exactly the order stepTree evaluates, so
   // recorded coverage and committed values are bit-identical to the tree.
-  // Instantiated for the interpreted TapeExecutor and the native
-  // JitTapeExecutor — the bind/read surface is identical.
+  expr::TapeExecutor& ex = *exec_;
   for (std::size_t i = 0; i < cm_->states.size(); ++i) {
     const auto& sv = cm_->states[i];
     if (sv.width == 1) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "compile/compiled_model.h"
@@ -56,11 +57,8 @@ struct StepResult {
 /// Which evaluation engine backs step(). kTape (default) executes the
 /// model's flattened instruction tape — bit-identical to kTree, which
 /// re-walks the expression DAG through the memoizing tree Evaluator and
-/// is kept as the semantic oracle for differential tests. kJit compiles
-/// the tape to native code via the system C compiler (expr::TapeJit);
-/// when the toolchain or loader is unavailable the simulator degrades to
-/// kTape and reports why through jitFallbackReason().
-enum class EvalEngine { kTape, kTree, kJit };
+/// is kept as the semantic oracle for differential tests.
+enum class EvalEngine { kTape, kTree };
 
 class Simulator {
  public:
@@ -89,21 +87,12 @@ class Simulator {
 
   [[nodiscard]] const compile::CompiledModel& compiled() const { return *cm_; }
 
-  /// The engine actually in effect: a kJit request that could not build a
-  /// native module reports kTape here.
   [[nodiscard]] EvalEngine engine() const { return engine_; }
-
-  /// Why a requested kJit engine fell back to kTape (empty otherwise).
-  [[nodiscard]] const std::string& jitFallbackReason() const {
-    return jitFallback_;
-  }
 
  private:
   void bindState(expr::Env& env) const;
   StepResult stepTree(const InputVector& in, coverage::CoverageTracker* cov);
-  template <typename Executor>
-  StepResult stepWith(Executor& ex, const InputVector& in,
-                      coverage::CoverageTracker* cov);
+  StepResult stepTape(const InputVector& in, coverage::CoverageTracker* cov);
 
   const compile::CompiledModel* cm_;
   EvalEngine engine_;
@@ -111,8 +100,6 @@ class Simulator {
   // executor persists across steps (slots are fully overwritten per run).
   compile::ModelTape modelTape_;
   std::optional<expr::TapeExecutor> exec_;
-  std::optional<expr::JitTapeExecutor> jitExec_;
-  std::string jitFallback_;
   StateSnapshot state_;
   std::vector<expr::Scalar> lastOutputs_;
 };

@@ -18,6 +18,13 @@ using expr::ExprPtr;
 using expr::Op;
 using expr::Type;
 
+/// A goal's optimized value tape with its remapped overlay program.
+struct BuiltDistance {
+  DistanceProgram prog;
+  std::shared_ptr<const expr::Tape> tape;
+  expr::TapePassStats stats;
+};
+
 namespace {
 
 constexpr double kEps = 1e-6;  // same as branchDistance's atom epsilon
@@ -214,12 +221,6 @@ double overlayStep(const DistanceProgram::Instr& in, const DistView& dist,
 /// value reads. The overlay's va/vb slots are out-of-tape reads, so they
 /// ride through optimizeTape as extraLive slots — kept live by DCE and
 /// never freed by the slot allocator.
-struct BuiltDistance {
-  DistanceProgram prog;
-  std::shared_ptr<const expr::Tape> tape;
-  expr::TapePassStats stats;
-};
-
 BuiltDistance buildOptimizedDistance(const ExprPtr& goal) {
   expr::TapeBuilder b;
   BuiltDistance out;
@@ -262,77 +263,27 @@ DistanceProgram buildDistanceProgram(const ExprPtr& goal,
   return ProgramBuilder(b).take(goal);
 }
 
-namespace {
-
-/// DistanceProgram -> the expr-layer overlay mirror the JIT emitter
-/// compiles (field-for-field; the kinds and operand meanings coincide).
-expr::JitOverlay toJitOverlay(const DistanceProgram& prog) {
-  expr::JitOverlay ov;
-  ov.init = prog.init;
-  ov.root = prog.root;
-  ov.code.reserve(prog.code.size());
-  for (const DistanceProgram::Instr& in : prog.code) {
-    expr::JitOverlayInstr j;
-    switch (in.kind) {
-      case DistanceProgram::Instr::Kind::kSum:
-        j.kind = expr::JitOverlayInstr::Kind::kSum;
-        break;
-      case DistanceProgram::Instr::Kind::kMin:
-        j.kind = expr::JitOverlayInstr::Kind::kMin;
-        break;
-      case DistanceProgram::Instr::Kind::kCmp:
-        j.kind = expr::JitOverlayInstr::Kind::kCmp;
-        break;
-      case DistanceProgram::Instr::Kind::kTruth:
-        j.kind = expr::JitOverlayInstr::Kind::kTruth;
-        break;
-    }
-    j.dst = in.dst;
-    j.a = in.a;
-    j.b = in.b;
-    j.va = in.va;
-    j.vb = in.vb;
-    j.cmpOp = in.cmpOp;
-    j.want = in.want;
-    ov.code.push_back(j);
-  }
-  return ov;
-}
-
-}  // namespace
-
 DistanceTape::DistanceTape(const ExprPtr& goal,
-                           const std::vector<expr::VarInfo>& vars,
-                           bool useJit)
-    : vars_(vars) {
-  BuiltDistance built = buildOptimizedDistance(goal);
-  prog_ = std::move(built.prog);
-  passStats_ = built.stats;
-  if (useJit) {
-    const expr::JitOverlay ov = toJitOverlay(prog_);
-    expr::TapeJit::Options jopt;
-    jopt.overlay = &ov;
-    jopt.coneVars.reserve(vars_.size());
-    for (const expr::VarInfo& v : vars_) jopt.coneVars.push_back(v.id);
-    if (auto jit = expr::TapeJit::compile(built.tape, jopt)) {
-      jexec_.emplace(built.tape, std::move(jit));
-    }
-    // On environment failure compile() has recorded a diagnostic; fall
-    // through to the (bit-identical) interpreter.
-  }
-  if (!jexec_) exec_.emplace(std::move(built.tape));
-  dist_ = prog_.init;
-}
+                           const std::vector<expr::VarInfo>& vars)
+    : DistanceTape(buildOptimizedDistance(goal), vars) {}
+
+DistanceTape::DistanceTape(BuiltDistance built,
+                           const std::vector<expr::VarInfo>& vars)
+    : vars_(vars),
+      exec_(std::move(built.tape)),
+      prog_(std::move(built.prog)),
+      passStats_(built.stats),
+      dist_(prog_.init) {}
 
 double DistanceTape::runOverlay() {
   const auto distAt = [&](std::int32_t s) {
     return dist_[static_cast<std::size_t>(s)];
   };
   const auto toRealOf = [&](std::int32_t va) {
-    return exec_->scalar({va, false}).toReal();
+    return exec_.scalar({va, false}).toReal();
   };
   const auto toBoolOf = [&](std::int32_t va) {
-    return exec_->scalar({va, false}).toBool();
+    return exec_.scalar({va, false}).toBool();
   };
   for (const DistanceProgram::Instr& in : prog_.code) {
     dist_[static_cast<std::size_t>(in.dst)] =
@@ -342,36 +293,18 @@ double DistanceTape::runOverlay() {
 }
 
 double DistanceTape::rebind(const std::vector<double>& point) {
-  if (jexec_) {
-    for (std::size_t i = 0; i < vars_.size(); ++i) {
-      jexec_->setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
-    }
-    return jexec_->runDistance();
-  }
   for (std::size_t i = 0; i < vars_.size(); ++i) {
-    exec_->setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
+    exec_.setVar(vars_[i].id, scalarForVar(vars_[i], point[i]));
   }
-  exec_->run();
+  exec_.run();
   return runOverlay();
 }
 
 double DistanceTape::update(std::size_t varIdx, double value) {
   const auto& v = vars_[varIdx];
-  if (jexec_) {
-    jexec_->setVar(v.id, scalarForVar(v, value));
-    return jexec_->runDistanceCone(v.id);
-  }
-  exec_->setVar(v.id, scalarForVar(v, value));
-  exec_->runCone(v.id);
+  exec_.setVar(v.id, scalarForVar(v, value));
+  exec_.runCone(v.id);
   return runOverlay();
-}
-
-std::size_t DistanceTape::valueInstrCount() const {
-  return (jexec_ ? jexec_->tape() : exec_->tape()).code().size();
-}
-
-std::size_t DistanceTape::maxConeSize() const {
-  return (jexec_ ? jexec_->tape() : exec_->tape()).maxConeSize();
 }
 
 BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,

@@ -32,7 +32,6 @@
 
 #include "expr/batch_tape.h"
 #include "expr/expr.h"
-#include "expr/jit.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
 
@@ -63,20 +62,15 @@ struct DistanceProgram {
 [[nodiscard]] DistanceProgram buildDistanceProgram(const expr::ExprPtr& goal,
                                                    expr::TapeBuilder& b);
 
+/// Optimized value tape + remapped overlay for one goal (distance_tape.cpp).
+struct BuiltDistance;
+
 class DistanceTape {
  public:
   /// Compile `goal` (scalar boolean) for the variable list the search
-  /// mutates. Throws expr::EvalError on a non-boolean goal. With
-  /// `useJit`, additionally compile value tape + overlay (plus per-var
-  /// native cone functions) into one native module via expr::TapeJit;
-  /// when the toolchain is unavailable the instance silently runs on the
-  /// interpreter instead (usingJit() reports which happened) — the
-  /// distances are bit-identical either way.
+  /// mutates. Throws expr::EvalError on a non-boolean goal.
   DistanceTape(const expr::ExprPtr& goal,
-               const std::vector<expr::VarInfo>& vars, bool useJit = false);
-
-  /// True when rebind/update run the native module.
-  [[nodiscard]] bool usingJit() const { return jexec_.has_value(); }
+               const std::vector<expr::VarInfo>& vars);
 
   /// Bind every variable to `point` (raw reals, scalarForVar coercion)
   /// and return the full-evaluation distance.
@@ -88,11 +82,15 @@ class DistanceTape {
   double update(std::size_t varIdx, double value);
 
   /// Diagnostics for bench reporting.
-  [[nodiscard]] std::size_t valueInstrCount() const;
+  [[nodiscard]] std::size_t valueInstrCount() const {
+    return exec_.tape().code().size();
+  }
   [[nodiscard]] std::size_t overlayInstrCount() const {
     return prog_.code.size();
   }
-  [[nodiscard]] std::size_t maxConeSize() const;
+  [[nodiscard]] std::size_t maxConeSize() const {
+    return exec_.tape().maxConeSize();
+  }
   /// Pass-pipeline shrink of the value tape (before == after when
   /// STCG_TAPE_OPT=0 disabled optimization).
   [[nodiscard]] const expr::TapePassStats& passStats() const {
@@ -100,11 +98,12 @@ class DistanceTape {
   }
 
  private:
+  DistanceTape(BuiltDistance built, const std::vector<expr::VarInfo>& vars);
+
   double runOverlay();
 
   std::vector<expr::VarInfo> vars_;
-  std::optional<expr::TapeExecutor> exec_;
-  std::optional<expr::JitTapeExecutor> jexec_;  // engaged iff JIT active
+  expr::TapeExecutor exec_;
   DistanceProgram prog_;
   expr::TapePassStats passStats_;
   std::vector<double> dist_;  // distance slots (constants pre-set)

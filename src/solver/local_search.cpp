@@ -177,12 +177,7 @@ SolveResult LocalSearchSolver::solve(const ExprPtr& goal,
   // decisions (and therefore the whole search path) stay bit-identical.
   std::optional<DistanceTape> dt;
   std::optional<BatchDistanceTape> bdt;
-  if (engine_ == Engine::kJit) {
-    // Native scalar scorer (DistanceTape falls back to the interpreter
-    // internally when no toolchain is available). The batch path stays a
-    // kTape concern; batched and scalar scoring are bit-identical anyway.
-    dt.emplace(goal, vars, /*useJit=*/true);
-  } else if (engine_ == Engine::kTape) {
+  if (engine_ == Engine::kTape) {
     if (options_.batch > 1 && !vars.empty()) {
       bdt.emplace(goal, vars, options_.batch);
     } else {

@@ -27,12 +27,10 @@ class LocalSearchSolver {
   /// Cost engine. kTape (default) scores candidates through an
   /// incremental DistanceTape (dirty-cone re-evaluation per mutated
   /// variable); kTree walks branchDistance's recursion each time and is
-  /// kept as the oracle. kJit runs the DistanceTape's value tape +
-  /// overlay as native code (expr::TapeJit), degrading to kTape when no
-  /// toolchain is available. All engines produce bit-identical cost
+  /// kept as the oracle. Both engines produce bit-identical cost
   /// sequences, so the search visits the same points and returns the
   /// same result.
-  enum class Engine { kTape, kTree, kJit };
+  enum class Engine { kTape, kTree };
 
   explicit LocalSearchSolver(SolveOptions options = {},
                              Engine engine = Engine::kTape)

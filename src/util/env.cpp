@@ -65,12 +65,6 @@ int envEnum(const char* name, const std::vector<std::string>& allowed) {
   return -1;
 }
 
-std::optional<std::string> envString(const char* name) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || *e == '\0') return std::nullopt;
-  return std::string(e);
-}
-
 std::size_t envDiagnosticCount() {
   return diagCount().load(std::memory_order_relaxed);
 }

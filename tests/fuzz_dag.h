@@ -19,7 +19,6 @@
 #include "expr/builder.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
-#include "expr/jit.h"
 #include "expr/tape.h"
 #include "expr/tape_passes.h"
 #include "util/rng.h"
@@ -234,20 +233,6 @@ inline TapePair buildTapePair(const std::vector<expr::ExprPtr>& roots,
   p.optSlots.reserve(p.rawSlots.size());
   for (const auto& s : p.rawSlots) p.optSlots.push_back(opt.remap(s));
   return p;
-}
-
-/// Native-code arm for the differential fuzz: compile `tape` through the
-/// TapeJit and wrap it in its executor frontend. Returns nullptr when the
-/// JIT is unavailable in this environment (no compiler / dlopen) — tests
-/// GTEST_SKIP on that rather than fail, mirroring the library's own
-/// graceful degradation.
-inline std::unique_ptr<expr::JitTapeExecutor> makeJitArm(
-    const std::shared_ptr<const expr::Tape>& tape,
-    std::string* whyNot = nullptr,
-    const expr::TapeJit::Options& opts = {}) {
-  auto jit = expr::TapeJit::compile(tape, opts, whyNot);
-  if (jit == nullptr) return nullptr;
-  return std::make_unique<expr::JitTapeExecutor>(tape, std::move(jit));
 }
 
 inline expr::Scalar randomScalarFor(Rng& rng, const expr::VarInfo& v) {

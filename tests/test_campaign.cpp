@@ -492,7 +492,7 @@ TEST(ResumeEquivalence, BitIdenticalAcrossJobsBatchEngine) {
   // unsatisfiable MCDC goals alive, so random fallback rounds (the
   // batched path) genuinely execute before the round cap stops the run.
   const auto cm = compile::compile(makeLatchModel());
-  for (const auto engine : {sim::EvalEngine::kTape, sim::EvalEngine::kJit}) {
+  for (const auto engine : {sim::EvalEngine::kTape, sim::EvalEngine::kTree}) {
     for (const int jobs : {1, 4}) {
       for (const int batch : {1, 8}) {
         GenOptions opt = latchOptions();
@@ -501,7 +501,7 @@ TEST(ResumeEquivalence, BitIdenticalAcrossJobsBatchEngine) {
         opt.batch = batch;
         opt.solver.batch = batch;
         const std::string what =
-            std::string(engine == sim::EvalEngine::kTape ? "tape" : "jit") +
+            std::string(engine == sim::EvalEngine::kTape ? "tape" : "tree") +
             " jobs=" + std::to_string(jobs) +
             " batch=" + std::to_string(batch);
         const GenResult ref = runUninterrupted(cm, opt);

@@ -7,6 +7,7 @@
 #include "compile/compiler.h"
 #include "expr/builder.h"
 #include "model/model.h"
+#include "solver/local_search.h"
 #include <fstream>
 
 #include "stcg/export.h"
@@ -216,6 +217,35 @@ TEST(Replay, EmptySuiteCoversNothing) {
   const auto cm = compile::compile(makeLatchModel());
   const auto cov = replaySuite(cm, {});
   EXPECT_EQ(cov.coveredBranchCount(), 0);
+}
+
+
+// ----- Option validation at the library boundary ---------------------------
+
+TEST(OptionValidation, OutOfRangeJobsAndBatchRejectedWithTypedError) {
+  const auto cm = compile::compile(makeLatchModel());
+  StcgGenerator g;
+
+  GenOptions bad;
+  bad.jobs = -1;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  bad = {};
+  bad.jobs = 5000;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  bad = {};
+  bad.batch = -1;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+  bad = {};
+  bad.solver.batch = 100000;
+  EXPECT_THROW((void)g.generate(cm, bad), expr::EvalError);
+
+  solver::SolveOptions so;
+  so.batch = -3;
+  solver::LocalSearchSolver ls(so);
+  const expr::VarInfo x{1, "x", Type::kReal, -1, 1};
+  EXPECT_THROW(
+      (void)ls.solve(expr::gtE(expr::mkVar(x), expr::cReal(0.0)), {x}),
+      expr::EvalError);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "benchmodels/benchmodels.h"
 #include "compile/compiler.h"
 #include "coverage/coverage.h"
+#include "expr/batch_tape.h"
 #include "expr/builder.h"
 #include "expr/eval.h"
 #include "expr/tape.h"
@@ -726,6 +728,59 @@ TEST(StcgEngines, GenResultIdenticalAcrossSimEngines) {
 TEST(StcgEngines, SimEngineDefaultsToTape) {
   const gen::GenOptions opt;
   EXPECT_EQ(opt.simEngine, sim::EvalEngine::kTape);
+}
+
+// ----- Saturating real->int cast: edges pinned across all engines ----------
+
+TEST(TapeCast, SaturatingRealToIntEdgesBitIdenticalAcrossEngines) {
+  const VarInfo r{0, "r", Type::kReal, -1e300, 1e300};
+  const auto root = expr::castE(expr::mkVar(r), Type::kInt);
+  expr::TapeBuilder b;
+  const auto slot = b.addRoot(root);
+  const auto tape = b.finish();
+
+  expr::TapeExecutor interp(tape);
+  expr::BatchTapeExecutor batch(tape, 2);
+
+  const double edges[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      9.2e18,
+      -9.2e18,
+      9.3e18,
+      -9.3e18,
+      static_cast<double>(std::numeric_limits<std::int64_t>::max()),
+      static_cast<double>(std::numeric_limits<std::int64_t>::min()),
+      -0.0,
+      0.5,
+      -123456.75,
+  };
+  for (const double v : edges) {
+    const std::int64_t want = expr::saturatingRealToInt(v);
+
+    Env env;
+    env.set(r.id, Scalar::r(v));
+    EXPECT_EQ(expr::evaluate(root, env).toInt(), want) << v;
+
+    interp.setVar(r.id, Scalar::r(v));
+    interp.run();
+    EXPECT_EQ(interp.scalar(slot).toInt(), want) << v;
+
+    batch.setVar(0, r.id, Scalar::r(v));
+    batch.setVarReal(1, r.id, v);
+    batch.run();
+    EXPECT_EQ(batch.scalar(slot, 0).toInt(), want) << v;
+    EXPECT_EQ(batch.scalar(slot, 1).toInt(), want) << v;
+  }
+  // Helper spot checks, pinning the documented mapping itself.
+  EXPECT_EQ(expr::saturatingRealToInt(
+                std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(expr::saturatingRealToInt(1e19),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(expr::saturatingRealToInt(-1e19),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(expr::saturatingRealToInt(-2.75), -2);
 }
 
 // ----- Satellite regressions ----------------------------------------------

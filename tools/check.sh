@@ -91,19 +91,6 @@ echo "== checkpoint kill/resume fuzz (tools/resume_fuzz.sh) =="
 cmake --build "$bench_dir" -j "$(nproc)" --target stcg_cli
 "$repo_root/tools/resume_fuzz.sh" "$bench_dir/tools/stcg_cli"
 
-# JIT differential sweep in Release: the emitted C is compiled at -O2 and
-# must stay bit-identical to the interpreter even when the host build is
-# optimized. Containers without a C compiler skip (the library degrades
-# to the interpreted tape there, which the main test stage already
-# covers via the fallback tests).
-if command -v "${STCG_JIT_CC:-cc}" >/dev/null 2>&1; then
-  echo "== release JIT differential sweep (stcg_tests --gtest_filter='*Jit*') =="
-  cmake --build "$bench_dir" -j "$(nproc)" --target stcg_tests
-  "$bench_dir/tests/stcg_tests" --gtest_filter='*Jit*'
-else
-  echo "== no C compiler (\${STCG_JIT_CC:-cc}); skipping JIT sweep =="
-fi
-
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (src/) =="
   find "$repo_root/src" -name '*.cpp' -print0 |

@@ -3,7 +3,7 @@
 //   stcg_cli --list
 //   stcg_cli lint <model> [--json] [--no-reachability]
 //   stcg_cli <model> [--tool stcg|sldv|simcotest] [--budget MS] [--seed N]
-//            [--jobs N] [--engine tree|tape|jit]
+//            [--jobs N] [--engine tree|tape]
 //            [--solver box|local|portfolio] [--prune-dead]
 //            [--export suite.txt] [--csv curve.csv] [--dot model.dot]
 //            [--invariant] [--trace]
@@ -42,7 +42,7 @@ int usage(const char* argv0) {
       "usage: %s --list\n"
       "       %s lint <model> [--json] [--no-reachability] [--tape]\n"
       "       %s <model> [--tool stcg|sldv|simcotest] [--budget MS]\n"
-      "            [--seed N] [--jobs N] [--batch N] [--engine tree|tape|jit]\n"
+      "            [--seed N] [--jobs N] [--batch N] [--engine tree|tape]\n"
       "            [--solver box|local|portfolio] [--max-rounds N]\n"
       "            [--checkpoint FILE] [--checkpoint-every N] [--resume]\n"
       "            [--prune-dead] [--export FILE] [--csv FILE] [--dot FILE]\n"
@@ -53,11 +53,8 @@ int usage(const char* argv0) {
       "  --batch N sets the lockstep tape lane width for replay expansion,\n"
       "    suite replay, and local-search scoring (default 8, 1 = scalar);\n"
       "    results are identical for a fixed seed regardless of N\n"
-      "  --engine selects the simulation engine: tape (default), tree (the\n"
-      "    semantic oracle) or jit (native code via the system C compiler;\n"
-      "    falls back to tape with a warning when unavailable — see\n"
-      "    STCG_JIT / STCG_JIT_CC / STCG_JIT_CACHE in the README); results\n"
-      "    are bit-identical across engines\n"
+      "  --engine selects the simulation engine: tape (default) or tree\n"
+      "    (the semantic oracle); results are bit-identical across engines\n"
       "  --checkpoint FILE saves the STCG campaign state to FILE every\n"
       "    --checkpoint-every N rounds (default 1, atomic tmp+rename);\n"
       "    --resume continues from FILE if it exists (fresh start with a\n"
@@ -200,12 +197,10 @@ int main(int argc, char** argv) {
         opt.simEngine = sim::EvalEngine::kTape;
       } else if (s == "tree") {
         opt.simEngine = sim::EvalEngine::kTree;
-      } else if (s == "jit") {
-        opt.simEngine = sim::EvalEngine::kJit;
       } else {
         std::fprintf(stderr,
-                     "invalid value for --engine: '%s' (expected tree, tape "
-                     "or jit)\n",
+                     "invalid value for --engine: '%s' (expected tree or "
+                     "tape)\n",
                      s.c_str());
         return 2;
       }
@@ -290,17 +285,6 @@ int main(int argc, char** argv) {
               cm.name.c_str(), cm.branches.size(), cm.conditionCount(),
               cm.states.size());
   std::printf("%s", model::modelStats(m).toString().c_str());
-
-  if (opt.simEngine == sim::EvalEngine::kJit) {
-    // Probe once so a toolchain failure is reported up front (the module
-    // is memoized in-process, so the generator's simulators reuse it).
-    const sim::Simulator probe(cm, sim::EvalEngine::kJit);
-    if (probe.engine() != sim::EvalEngine::kJit) {
-      std::printf("warning [jit-unavailable] %s; running on the interpreted "
-                  "tape engine\n",
-                  probe.jitFallbackReason().c_str());
-    }
-  }
 
   if (wantInvariant) {
     const auto inv = analysis::computeStateInvariant(cm);
