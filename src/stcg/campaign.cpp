@@ -47,6 +47,13 @@ std::uint64_t taskStream(int round, int goalIdx, int nodeId) {
   return splitmix64(h ^ static_cast<std::uint64_t>(nodeId));
 }
 
+/// Cells per pool lane in one chunk of a solve round's walk: enough to
+/// keep every lane busy, few enough that a round whose SAT cell comes
+/// early visits little past it.
+constexpr std::size_t kCellsPerLane = 64;
+/// Winner index of a chunk walk that has found no SAT cell yet.
+constexpr std::size_t kNoWinner = static_cast<std::size_t>(-1);
+
 }  // namespace
 
 Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
@@ -78,6 +85,7 @@ Campaign::Campaign(const compile::CompiledModel& cm, const GenOptions& opt,
       this->trace("pruned provably-dead goal " + label);
     }
   }
+  frontier_.assign(goals_.size(), 0);
   order_.resize(goals_.size());
   for (std::size_t i = 0; i < order_.size(); ++i) {
     order_[i] = static_cast<int>(i);
@@ -164,6 +172,7 @@ void Campaign::restore(const std::string& path) {
   fresh.mcdcStream = CounterStream(rngRoot_.fork(kMcdcStream));
   loadCampaignCheckpoint(path, cm_, opt_, fresh);
   cs_ = std::move(fresh);
+  std::fill(frontier_.begin(), frontier_.end(), 0);
   lastCheckpointRound_ = cs_.round;
   watch_.reset();
   deadline_ = Deadline::afterMillis(
@@ -175,59 +184,62 @@ void Campaign::restore(const std::string& path) {
 
 // ----- Algorithm 1: state-aware solving ------------------------------------
 //
-// Each round enumerates the grid of (uncovered goal × tree node) cells
-// not yet attempted, in the order the paper's sequential scan visits
-// them, then fans the cells across the pool. Every cell is hermetic: it
-// reads only immutable round state (compiled model, node snapshots,
-// goal expressions) and draws its solver seed from a counter-based
-// stream keyed by (round, goal, node). The coordinator then commits, in
-// grid order, exactly the prefix the sequential scan would have
-// visited: every cell before the lowest SAT cell, plus that cell.
-// Speculative results past the winner are discarded — never marked
-// attempted, never counted — so tree, tracker, stats, and trace are
-// bit-identical for any jobs value.
+// A round walks the grid of (uncovered goal × tree node) cells not yet
+// attempted, in the order the paper's sequential scan visits them: goals
+// in order_, nodes by id. The walk is lazy. Each goal starts at its
+// frontier (every node below it is already attempted), and cells are
+// handed to the pool in chunks of kCellsPerLane × lanes; the walk stops
+// after the first chunk that holds a SAT cell or a cell the deadline
+// kept from running. So a round visits about the cells it commits, not
+// the whole open grid. Every cell is hermetic: it reads only immutable
+// round state (compiled model, node snapshots, goal expressions) and
+// draws its solver seed from a counter-based stream keyed by (round,
+// goal, node). Once the walk ends, the coordinator commits, in grid
+// order, exactly the prefix the sequential scan would have visited:
+// every cell before the lowest SAT cell, plus that cell. Speculative
+// results past the winner are discarded — never marked attempted, never
+// counted — so tree, tracker, stats, and trace are bit-identical for any
+// jobs value. Commit waits for the walk because the walk must read the
+// attempted sets as they were at round start: two nodes whose states
+// share a hash share one (state-hash, goal) mark, so committing the
+// first node's cell mid-walk would hide the second node's cell, which
+// the sequential scan still visits (and may solve) in this round.
 std::optional<Campaign::SolveHit> Campaign::solveRound() {
   ++cs_.round;
-  std::vector<SolveTask> tasks;
+  const int nodeCount =
+      opt_.solveOnAllNodes ? static_cast<int>(cs_.tree.size()) : 1;
+  const std::size_t chunk =
+      kCellsPerLane * static_cast<std::size_t>(pool_->threadCount());
+  tasks_.clear();
+  outcomes_.clear();
+  std::atomic<std::size_t> winner{kNoWinner};
+  bool done = false;
   for (const int goalIdx : order_) {
+    if (done) break;
     const Goal& goal = goals_[static_cast<std::size_t>(goalIdx)];
     if (goalCovered(cs_.tracker, goal)) continue;
-    const std::size_t nodeCount =
-        opt_.solveOnAllNodes ? cs_.tree.size() : 1;
-    for (std::size_t nodeId = 0; nodeId < nodeCount; ++nodeId) {
-      const int nid = static_cast<int>(nodeId);
-      if (cs_.tree.isAttempted(nid, goalIdx)) continue;
-      tasks.push_back(SolveTask{goalIdx, nid});
+    int& frontier = frontier_[static_cast<std::size_t>(goalIdx)];
+    while (frontier < nodeCount && cs_.tree.isAttempted(frontier, goalIdx)) {
+      ++frontier;
     }
-  }
-  if (tasks.empty()) return std::nullopt;
-
-  std::vector<TaskOutcome> outcomes(tasks.size());
-  // Lowest grid index that solved SAT so far; cells past it are skipped
-  // (their work would be discarded by the commit rule anyway).
-  std::atomic<std::size_t> winner{tasks.size()};
-
-  pool_->parallelFor(tasks.size(), [&](std::size_t i) {
-    if (i > winner.load(std::memory_order_acquire)) return;
-    if (deadline_.expired()) return;
-    runSolveTask(tasks[i], outcomes[i]);
-    if (!outcomes[i].folded &&
-        outcomes[i].status == solver::SolveStatus::kSat) {
-      std::size_t cur = winner.load(std::memory_order_acquire);
-      while (i < cur && !winner.compare_exchange_weak(
-                            cur, i, std::memory_order_acq_rel,
-                            std::memory_order_acquire)) {
+    for (int nid = frontier; nid < nodeCount && !done; ++nid) {
+      if (cs_.tree.isAttempted(nid, goalIdx)) continue;
+      tasks_.push_back(SolveTask{goalIdx, nid});
+      if (tasks_.size() - outcomes_.size() == chunk) {
+        done = runSolveChunk(winner);
       }
     }
-  });
+  }
+  if (!done && outcomes_.size() < tasks_.size()) (void)runSolveChunk(winner);
+  if (tasks_.empty()) return std::nullopt;
 
   const std::size_t w = winner.load(std::memory_order_acquire);
-  const std::size_t limit = w == tasks.size() ? tasks.size() : w + 1;
+  const std::size_t limit = w == kNoWinner ? tasks_.size() : w + 1;
   std::optional<SolveHit> hit;
   for (std::size_t i = 0; i < limit; ++i) {
-    TaskOutcome& out = outcomes[i];
+    TaskOutcome& out = outcomes_[i];
     if (!out.ran) break;  // deadline expired before this cell ran
-    const SolveTask& t = tasks[i];
+    const SolveTask& t = tasks_[i];
     cs_.tree.markAttempted(t.nodeId, t.goalIdx);
     ++cs_.stats.solveCalls;
     if (out.folded || out.status == solver::SolveStatus::kUnsat) {
@@ -243,6 +255,34 @@ std::optional<Campaign::SolveHit> Campaign::solveRound() {
     }
   }
   return hit;
+}
+
+/// Fan the cells the walk queued since the last chunk (those without an
+/// outcome yet) across the pool, lowering `winner` to the lowest SAT
+/// index. Returns whether the walk must stop: a cell of this chunk
+/// solved SAT, or the deadline expired (so no later cell would run
+/// either).
+bool Campaign::runSolveChunk(std::atomic<std::size_t>& winner) {
+  const std::size_t begin = outcomes_.size();
+  outcomes_.resize(tasks_.size());
+  pool_->parallelFor(tasks_.size() - begin, [&](std::size_t k) {
+    const std::size_t i = begin + k;
+    // Cells past the lowest SAT so far are skipped: the commit rule
+    // would discard their work anyway.
+    if (i > winner.load(std::memory_order_acquire)) return;
+    if (deadline_.expired()) return;
+    runSolveTask(tasks_[i], outcomes_[i]);
+    if (!outcomes_[i].folded &&
+        outcomes_[i].status == solver::SolveStatus::kSat) {
+      std::size_t cur = winner.load(std::memory_order_acquire);
+      while (i < cur && !winner.compare_exchange_weak(
+                            cur, i, std::memory_order_acq_rel,
+                            std::memory_order_acquire)) {
+      }
+    }
+  });
+  return winner.load(std::memory_order_acquire) != kNoWinner ||
+         deadline_.expired();
 }
 
 /// Solve one grid cell. Hermetic: reads only round-immutable state and

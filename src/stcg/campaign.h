@@ -22,6 +22,7 @@
 // way, so a resumed process replays the exact seed sequence.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,7 +120,6 @@ class Campaign {
   void restore(const std::string& path);
 
   [[nodiscard]] const CampaignState& state() const { return cs_; }
-  [[nodiscard]] CampaignState& mutableState() { return cs_; }
   [[nodiscard]] const std::vector<Goal>& goals() const { return goals_; }
 
  private:
@@ -146,8 +146,10 @@ class Campaign {
   [[nodiscard]] bool allGoalsCovered() const;
   [[nodiscard]] double now() const;
 
-  // Algorithm 1: one solve round over the (uncovered goal × node) grid.
+  // Algorithm 1: one solve round, a lazy walk of the (uncovered goal ×
+  // node) grid from each goal's frontier, run chunk by chunk.
   [[nodiscard]] std::optional<SolveHit> solveRound();
+  [[nodiscard]] bool runSolveChunk(std::atomic<std::size_t>& winner);
   void runSolveTask(const SolveTask& t, TaskOutcome& out);
 
   // Algorithm 2: dynamic execution.
@@ -180,6 +182,15 @@ class Campaign {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Goal> goals_;
   std::vector<int> order_;
+  /// frontier_[g]: every node id below it is already attempted for goal
+  /// g. Attempts only accumulate, so it never goes stale within one
+  /// campaign state; it is a cache, not part of CampaignState — restore()
+  /// resets it to 0 and the walk rebuilds it.
+  std::vector<int> frontier_;
+  // The cells the current solve round visited, in grid order, and what
+  // each one found. Storage is reused from round to round.
+  std::vector<SolveTask> tasks_;
+  std::vector<TaskOutcome> outcomes_;
   int lastCheckpointRound_ = 0;
   CampaignState cs_;
   TraceFn trace_;

@@ -14,8 +14,9 @@
 // On top of the per-node SB sets, the tree keeps a global
 // (state-hash, goal) dedup set: a goal is never re-solved against a state
 // value it was already attempted on, even if that state is re-reached via
-// a different node id (e.g. after hitting the node cap). The parallel
-// solve loop enumerates its task grid against this set.
+// a different node id (e.g. after hitting the node cap). The solve
+// round walks its (goal × node) cells against this set, starting each
+// goal at a frontier below which every node is already attempted.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,10 @@
 // snapshots, coverage tracker, exclusions), checkpoint save/load with
 // version/signature/checksum rejection, the golden snapshot-hash pins for
 // the benchmark models, state-tree dedup under forced hash collisions,
-// and the headline contract — a campaign killed at round k and resumed
-// from its checkpoint finishes bit-identical to one never interrupted,
-// across jobs × batch × engine.
+// the headline contract — a campaign killed at round k and resumed from
+// its checkpoint finishes bit-identical to one never interrupted, across
+// jobs × batch × engine — and the lazy solve frontier's parity with the
+// full-grid enumeration it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "sim/snapshot_io.h"
 #include "stcg/campaign.h"
 #include "stcg/checkpoint.h"
+#include "stcg/export.h"
 #include "stcg/stcg_generator.h"
 
 namespace stcg::gen {
@@ -569,6 +571,118 @@ TEST(ResumeEquivalence, MaxRoundsIsDeterministic) {
   const GenOptions opt = latchOptions();
   expectIdentical(runUninterrupted(cm, opt), runUninterrupted(cm, opt),
                   "repeat");
+}
+
+// ----- Solve frontier ------------------------------------------------------
+//
+// A solve round walks the grid lazily from per-goal frontiers, in chunks
+// of 64 cells per pool lane, and stops after the first chunk holding a
+// SAT cell. These tests pin that walk to the full-grid enumeration it
+// replaced, across chunk boundaries and across a restore.
+
+/// A bench-model campaign whose round cap, not the wall clock, ends it:
+/// the per-query budget is generous so it never binds on a loaded host.
+GenOptions benchOptions(int maxRounds, int jobs) {
+  GenOptions opt;
+  opt.budgetMillis = 600000;
+  opt.seed = 1;
+  opt.solver.timeBudgetMillis = 60000;
+  opt.maxRounds = maxRounds;
+  opt.jobs = jobs;
+  return opt;
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char ch : text) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SolveFrontier, GoldenParityWithFullGridEnumeration) {
+  // Literal pins captured from the full-grid enumeration the frontier walk
+  // replaced (every round built every open cell), at 600 rounds, seed 1,
+  // jobs 1, default options otherwise. AFC, TWC, UTPC and TCP each run
+  // no-SAT rounds whose open grid spans several 64-cell chunks; AFC also
+  // reaches the 4096-node tree cap. A change here is a trajectory change.
+  const struct {
+    const char* name;
+    int solveCalls, solveSat, solveUnsat, solveUnknown;
+    int stepsExecuted, treeNodes, randomSequences;
+    std::size_t tests;
+    std::uint64_t suiteHash;
+  } golden[] = {
+      {"CPUTask", 1691, 600, 1091, 0, 600, 37, 0, 98, 0x7366101faa5f6608ULL},
+      {"AFC", 42013, 219, 41794, 0, 11787, 4096, 482, 18,
+       0xee431bf123537263ULL},
+      {"TWC", 3692, 696, 2994, 2, 768, 241, 3, 35, 0xc4ef1ddf48877b36ULL},
+      {"NICProtocol", 5987, 1181, 4806, 0, 1181, 590, 0, 24,
+       0x06c611634a3dfbc3ULL},
+      {"UTPC", 13545, 929, 12616, 0, 1457, 953, 22, 28,
+       0x8705f1ce5bc91f5aULL},
+      {"LANSwitch", 2473, 602, 1870, 1, 602, 586, 0, 29,
+       0xe14b3734f8a28522ULL},
+      {"LEDLC", 167, 10, 157, 0, 14170, 15, 590, 14, 0x6921f20297d06a75ULL},
+      {"TCP", 6678, 1126, 5545, 7, 1174, 202, 2, 74, 0xaf65ff6170325cd8ULL},
+  };
+  for (const auto& g : golden) {
+    const auto cm = compile::compile(bench::buildBenchModel(g.name));
+    const GenResult r = runUninterrupted(cm, benchOptions(600, 1));
+    EXPECT_EQ(r.stats.solveCalls, g.solveCalls) << g.name;
+    EXPECT_EQ(r.stats.solveSat, g.solveSat) << g.name;
+    EXPECT_EQ(r.stats.solveUnsat, g.solveUnsat) << g.name;
+    EXPECT_EQ(r.stats.solveUnknown, g.solveUnknown) << g.name;
+    EXPECT_EQ(r.stats.stepsExecuted, g.stepsExecuted) << g.name;
+    EXPECT_EQ(r.stats.treeNodes, g.treeNodes) << g.name;
+    EXPECT_EQ(r.stats.randomSequences, g.randomSequences) << g.name;
+    EXPECT_EQ(r.tests.size(), g.tests) << g.name;
+    EXPECT_EQ(fnv1a(renderTestSuite(cm, r.tests)), g.suiteHash) << g.name;
+  }
+}
+
+TEST(SolveFrontier, MultiChunkRoundsDeterministicAcrossJobs) {
+  // AFC's open grid is wide: many of its rounds commit more cells than
+  // one jobs-4 chunk (64 cells × 4 lanes) holds, so the walk opens
+  // several pool batches per round, and the chunk boundaries differ from
+  // those of jobs 1 (64 cells). The output must not notice.
+  const auto cm = compile::compile(bench::buildBenchModel("AFC"));
+  const GenOptions opt4 = benchOptions(200, 4);
+  Campaign c(cm, opt4);
+  int multiChunkRounds = 0;
+  while (!c.finished()) {
+    const int before = c.state().stats.solveCalls;
+    c.runRound();
+    // Committed cells, plus at most one MCDC-pair query.
+    if (c.state().stats.solveCalls - before > 64 * 4 + 1) ++multiChunkRounds;
+  }
+  EXPECT_GE(multiChunkRounds, 10);
+  expectIdentical(runUninterrupted(cm, benchOptions(200, 1)), c.finish(),
+                  "AFC jobs=1 vs jobs=4");
+}
+
+TEST(SolveFrontier, RestoreOverAnAdvancedFrontierResumesBitIdentically) {
+  // Campaign B runs ahead to round 300, so its per-goal frontiers pass
+  // cells that are still open at round 100. Restoring B from the round-100
+  // checkpoint must drop those frontiers; the run then has to match one
+  // that was never interrupted.
+  const auto cm = compile::compile(bench::buildBenchModel("NICProtocol"));
+  const GenOptions opt = benchOptions(400, 1);
+  const std::string path = tmpPath("ck_stale_frontier");
+  {
+    Campaign a(cm, opt);
+    for (int i = 0; i < 100 && !a.finished(); ++i) a.runRound();
+    a.saveCheckpoint(path);
+  }
+  Campaign b(cm, opt);
+  for (int i = 0; i < 300 && !b.finished(); ++i) b.runRound();
+  ASSERT_EQ(b.state().round, 300);
+  b.restore(path);
+  ASSERT_EQ(b.state().round, 100);
+  while (!b.finished()) b.runRound();
+  expectIdentical(runUninterrupted(cm, opt), b.finish(),
+                  "restored over an advanced frontier");
 }
 
 // ----- Option validation ---------------------------------------------------

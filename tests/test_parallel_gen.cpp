@@ -358,9 +358,10 @@ TEST(ParallelGen, RepeatedThreadedRunsAreIdentical) {
   expectIdentical(runLatch(8), runLatch(8), "jobs=8 repeat");
 }
 
-// A real bench model at a fixed round cap: these 200 LANSwitch rounds fan
-// 775K (goal × node) cells across the pool, thousands per round, which the
-// toy models above never do. The round cap, not the wall clock, ends the run,
+// A real bench model at a fixed round cap: these 200 LANSwitch rounds hold
+// 775K open (goal × node) cells, thousands per round, which the toy models
+// above never do; the solve walk visits them lazily, one pool batch per
+// chunk, until a chunk solves. The round cap, not the wall clock, ends the run,
 // and the per-query budget is generous so it never binds on a loaded host.
 GenResult runLanSwitch(int jobs) {
   const auto cm = compile::compile(bench::buildBenchModel("LANSwitch"));

@@ -39,7 +39,9 @@ cmake --build "$build_dir" -j "$(nproc)" --target tape_audit
 # the races it exists to catch (a pool lane reading one batch while the
 # caller opens the next, unsynchronized writes to per-cell outcomes) only
 # show in the threaded tests, so only those run here. The repeat gives the
-# batch handover thousands of chances per run to go wrong.
+# batch handover thousands of chances per run to go wrong. The solve
+# frontier test opens several pool batches per round, one per chunk of
+# its walk, with the shared winner index carried from batch to batch.
 tsan_probe="$(mktemp -d)"
 echo 'int main(){return 0;}' > "$tsan_probe/t.cpp"
 if c++ -fsanitize=thread "$tsan_probe/t.cpp" -o "$tsan_probe/t" 2>/dev/null; then
@@ -50,7 +52,8 @@ if c++ -fsanitize=thread "$tsan_probe/t.cpp" -o "$tsan_probe/t" 2>/dev/null; the
     -DSTCG_SANITIZE=thread \
     ${STCG_CHECK_GENERATOR:+-G "$STCG_CHECK_GENERATOR"}
   cmake --build "$tsan_dir" -j "$(nproc)" --target stcg_tests
-  "$tsan_dir/tests/stcg_tests" --gtest_filter='ThreadPool.*:ParallelGen.*' \
+  "$tsan_dir/tests/stcg_tests" \
+    --gtest_filter='ThreadPool.*:ParallelGen.*:SolveFrontier.MultiChunkRoundsDeterministicAcrossJobs' \
     --gtest_repeat=20
 else
   echo "== -fsanitize=thread unsupported by this toolchain; skipping TSAN =="
