@@ -31,7 +31,7 @@
 //              BENCH_batch.json for EXPERIMENTS.md);
 //   --seconds  measurement window per cell (default 0.25; 0.05 in quick);
 //   --git/--timestamp  run metadata echoed into the JSON meta block
-//              (CPU model and SIMD level are detected in-process).
+//              (the CPU model is detected in-process).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -1,8 +1,9 @@
 // Run metadata for the JSON-writing benchmarks (BENCH_eval.json /
 // BENCH_batch.json): the numbers in EXPERIMENTS.md are only reproducible
-// claims when pinned to the commit, CPU, and SIMD level that produced
-// them. tools/bench.sh passes --git/--timestamp; the CPU model and the
-// active SIMD dispatch level are read from the process itself.
+// claims when pinned to the commit and CPU that produced them.
+// tools/bench.sh passes --git/--timestamp; the CPU model is read from the
+// process itself. `simd_level` names the batch lane loops (expr/simd.h;
+// always "scalar" now that they have one portable path).
 #pragma once
 
 #include <algorithm>

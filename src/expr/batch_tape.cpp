@@ -44,9 +44,7 @@ inline std::uint64_t bitsOf(const Scalar& s) {
 BatchTapeExecutor::BatchTapeExecutor(std::shared_ptr<const Tape> tape,
                                      int lanes)
     : tape_(std::move(tape)),
-      lanes_(lanes < 1 ? 1 : lanes),
-      simdLevel_(activeSimdLevel()),
-      kern_(&laneKernelsFor(simdLevel_)) {
+      lanes_(lanes < 1 ? 1 : lanes) {
   const std::size_t ns = tape_->scalarSlotCount();
   const std::size_t na = tape_->arraySlotCount();
   const auto B = static_cast<std::size_t>(lanes_);
@@ -1243,13 +1241,12 @@ void BatchTapeExecutor::execArrayIte(const TapeInstr& in, std::uint8_t mv) {
   if (bothUniSame && pb.lensEqual && pc.lensEqual &&
       pb.len[0] == pc.len[0]) {
     // Uniform same-typed arms of identical shape: per-element-row payload
-    // select through the LaneKernels table (sel64 allows dst == a or
-    // dst == b exactly, which covers the aliasing case).
+    // select (sel64Row allows dst == a or dst == b exactly, which covers
+    // the aliasing case).
     const std::int32_t n = pb.len[0];
     for (std::int32_t e = 0; e < n; ++e) {
-      kern_->sel64(&d.pay[static_cast<std::size_t>(e) * lanes], bc_.data(),
-                   &pb.pay[static_cast<std::size_t>(e) * lanes],
-                   &pc.pay[static_cast<std::size_t>(e) * lanes], B);
+      const std::size_t r = static_cast<std::size_t>(e) * lanes;
+      simd_detail::sel64Row(&d.pay[r], bc_.data(), &pb.pay[r], &pc.pay[r], B);
     }
     d.uni = pb.uni;
     stats_.wordMoveRows += static_cast<std::uint64_t>(n);
@@ -1330,40 +1327,38 @@ void BatchTapeExecutor::execGeneric(const TapeInstr& in, std::uint8_t mv) {
 
 void BatchTapeExecutor::execFast(const TapeInstr& in, FastK f) {
   // The tape is SSA, so dst never aliases an operand row.
+  using namespace simd_detail;
   const int B = lanes_;
-  const LaneKernels& k = *kern_;
   std::uint64_t* d = &vals_[idx(in.dst, 0)];
   const std::uint64_t* a = &vals_[idx(in.a, 0)];
+  const auto b = [&] { return &vals_[idx(in.b, 0)]; };
   switch (f) {
-    case FastK::kRAdd: k.rAdd(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRSub: k.rSub(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRMul: k.rMul(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRDivG: k.rDivG(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRFmin: k.rFmin(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRFmax: k.rFmax(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kRNeg: k.rNeg(d, a, B); break;
-    case FastK::kRAbs: k.rAbs(d, a, B); break;
-    case FastK::kRCmpLt:
-    case FastK::kRCmpLe:
-    case FastK::kRCmpGt:
-    case FastK::kRCmpGe:
-    case FastK::kRCmpEq:
-    case FastK::kRCmpNe:
-      k.rCmp[static_cast<int>(f) - static_cast<int>(FastK::kRCmpLt)](
-          d, a, &vals_[idx(in.b, 0)], B);
-      break;
-    case FastK::kIAdd: k.iAdd(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kISub: k.iSub(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kIMin: k.iMin(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kIMax: k.iMax(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kINeg: k.iNeg(d, a, B); break;
-    case FastK::kIAbs: k.iAbs(d, a, B); break;
-    case FastK::kBAnd: k.bAnd(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kBOr: k.bOr(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kBXor: k.bXor(d, a, &vals_[idx(in.b, 0)], B); break;
-    case FastK::kBNot: k.bNot(d, a, B); break;
+    case FastK::kRAdd: binRow<rAddOp>(d, a, b(), B); break;
+    case FastK::kRSub: binRow<rSubOp>(d, a, b(), B); break;
+    case FastK::kRMul: binRow<rMulOp>(d, a, b(), B); break;
+    case FastK::kRDivG: binRow<rDivGOp>(d, a, b(), B); break;
+    case FastK::kRFmin: binRow<rFminOp>(d, a, b(), B); break;
+    case FastK::kRFmax: binRow<rFmaxOp>(d, a, b(), B); break;
+    case FastK::kRNeg: unRow<rNegOp>(d, a, B); break;
+    case FastK::kRAbs: unRow<rAbsOp>(d, a, B); break;
+    case FastK::kRCmpLt: binRow<rCmpOp<kIxLt>>(d, a, b(), B); break;
+    case FastK::kRCmpLe: binRow<rCmpOp<kIxLe>>(d, a, b(), B); break;
+    case FastK::kRCmpGt: binRow<rCmpOp<kIxGt>>(d, a, b(), B); break;
+    case FastK::kRCmpGe: binRow<rCmpOp<kIxGe>>(d, a, b(), B); break;
+    case FastK::kRCmpEq: binRow<rCmpOp<kIxEq>>(d, a, b(), B); break;
+    case FastK::kRCmpNe: binRow<rCmpOp<kIxNe>>(d, a, b(), B); break;
+    case FastK::kIAdd: binRow<iAddOp>(d, a, b(), B); break;
+    case FastK::kISub: binRow<iSubOp>(d, a, b(), B); break;
+    case FastK::kIMin: binRow<iMinOp>(d, a, b(), B); break;
+    case FastK::kIMax: binRow<iMaxOp>(d, a, b(), B); break;
+    case FastK::kINeg: unRow<iNegOp>(d, a, B); break;
+    case FastK::kIAbs: unRow<iAbsOp>(d, a, B); break;
+    case FastK::kBAnd: binRow<bAndOp>(d, a, b(), B); break;
+    case FastK::kBOr: binRow<bOrOp>(d, a, b(), B); break;
+    case FastK::kBXor: binRow<bXorOp>(d, a, b(), B); break;
+    case FastK::kBNot: unRow<bNotOp>(d, a, B); break;
     case FastK::kSel:
-      k.sel64(d, a, &vals_[idx(in.b, 0)], &vals_[idx(in.c, 0)], B);
+      sel64Row(d, a, b(), &vals_[idx(in.c, 0)], B);
       break;
     case FastK::kCopy:
       std::memcpy(d, a, static_cast<std::size_t>(B) * sizeof(std::uint64_t));

@@ -5,13 +5,13 @@
 // the instruction sequence evaluates B independent environments. The
 // per-instruction dispatch cost of the scalar TapeExecutor — the switch,
 // the operand decode, the type promotion — is paid once per instruction
-// instead of once per environment. The inner per-lane loops run through
-// the runtime-dispatched SIMD lane kernels (expr/simd.h): instructions
-// whose operand representations already match the op (all-real
-// arithmetic, real comparisons, 0/1 boolean rows, type-aligned scalar
-// kIte, identity kCast) execute a kernel straight on the 64-byte-aligned
-// SoA rows; mixed-type instructions keep the scratch-convert-store
-// fallback, which is identical under every SIMD level.
+// instead of once per environment. The inner per-lane loops are the
+// portable row loops of expr/simd_ops.h, vectorized where the compiler
+// can: instructions whose operand representations already match the op
+// (all-real arithmetic, real comparisons, 0/1 boolean rows, type-aligned
+// scalar kIte, identity kCast) run a row loop straight on the
+// 64-byte-aligned SoA rows; mixed-type instructions keep the
+// scratch-convert-store fallback.
 //
 // Bit-identity contract: every lane computes exactly the Scalar the
 // scalar TapeExecutor would (same applyUnary/applyBinary/castTo coercions,
@@ -44,7 +44,7 @@
 // all). kSelect/kStore/array-kIte are index-clamped word moves: a
 // whole-plane memcpy or an O(1) buffer swap for the copy half (arrMove_
 // dead-after analysis), contiguous lane-row moves for the element half,
-// and the LaneKernels sel64 row select for mixed-condition array kIte
+// and the sel64Row payload select for mixed-condition array kIte
 // over uniform planes. The vector<Scalar> surface survives only as the
 // materializing oracle read `array()`; hot consumers use
 // arrayLen()/arrayElem().
@@ -58,7 +58,6 @@
 #include <memory>
 #include <vector>
 
-#include "expr/simd.h"
 #include "expr/tape.h"
 #include "util/aligned.h"
 
@@ -156,10 +155,6 @@ class BatchTapeExecutor {
   void readBools(SlotRef r, std::uint64_t* out) const;
 
   [[nodiscard]] const Tape& tape() const { return *tape_; }
-
-  /// SIMD level whose kernel table this executor captured at construction
-  /// (see expr/simd.h; pin with forceSimdLevel before constructing).
-  [[nodiscard]] SimdLevel simdLevel() const { return simdLevel_; }
 
   /// Array-path counters accumulated since construction (or the last
   /// resetArrayStats()).
@@ -275,8 +270,6 @@ class BatchTapeExecutor {
 
   std::shared_ptr<const Tape> tape_;
   int lanes_ = 1;
-  SimdLevel simdLevel_ = SimdLevel::kScalar;
-  const LaneKernels* kern_ = nullptr;  // table for simdLevel_, never null
   util::AlignedVec<std::uint64_t> vals_;  // [slot * lanes + lane] payload
   std::vector<Type> types_;           // [slot * lanes + lane] payload type
   std::vector<ArrayPlane> planes_;    // per array slot

@@ -1,97 +1,21 @@
-// Runtime-dispatched SIMD lane kernels for the batch engines.
+// Lane-loop implementation name of the batch engines.
 //
-// The B-wide executors (expr::BatchTapeExecutor, solver::BatchDistanceTape)
-// spend their time in per-lane loops over structure-of-arrays rows. This
-// module provides those loops as a function-pointer kernel table
-// (LaneKernels) with three implementations:
-//   - scalar: portable loops over the simd_ops.h helpers (the reference),
-//   - avx2:   hand-written AVX2 intrinsics (x86-64, runtime-detected via
-//             cpuid), compiled in a TU with -ffp-contract=off so GCC can
-//             never contract mul+add into an FMA the scalar path lacks,
-//   - neon:   AArch64 NEON (baseline on that architecture).
-// All three are bit-identical per lane: the guarded kDiv zero semantics,
-// glibc's fmin/fmax operand order, NaN/±0/±inf propagation and the
-// Korel/Tracey kCmp distance forms are replicated operand-for-operand
-// (tests/test_simd_batch.cpp fuzzes the equivalence; tails of the vector
-// kernels share the exact scalar helpers).
-//
-// Payload convention: rows are raw 64-bit words — double bit patterns for
-// real lanes, two's complement for int lanes, 0/1 for bool lanes —
-// matching BatchTapeExecutor's SoA payload storage, so kernels can run
-// directly on value rows without strict-aliasing games. The distance
-// overlay's d* kernels work on genuine double rows.
-//
-// Selection: activeSimdLevel() is the detected level unless overridden by
-// STCG_SIMD (0|scalar -> scalar, avx2, neon, 1|auto -> detected); an
-// override naming an unavailable level falls back to the detected one with
-// a diagnostic. forceSimdLevel() overrides both for tests. Executors
-// capture a table at construction, so forcing a level then constructing an
-// executor pins its path.
+// expr::BatchTapeExecutor and solver::BatchDistanceTape run one set of
+// portable row loops (expr/simd_ops.h), vectorized where the compiler
+// can, so there is a single level and nothing to select. The end-to-end
+// benchmark's --info and the bench JSON meta blocks read these two names.
 #pragma once
-
-#include <cstdint>
-#include <optional>
 
 namespace stcg::expr {
 
-enum class SimdLevel { kScalar, kAvx2, kNeon };
+enum class SimdLevel { kScalar };
 
-[[nodiscard]] const char* simdLevelName(SimdLevel lvl);
+[[nodiscard]] constexpr const char* simdLevelName(SimdLevel /*lvl*/) {
+  return "scalar";
+}
 
-/// Best level this CPU + build supports (cpuid-style detection; kScalar
-/// when no vector unit is usable).
-[[nodiscard]] SimdLevel detectedSimdLevel();
-
-/// Whether kernels for `lvl` exist in this build and run on this CPU.
-[[nodiscard]] bool simdLevelAvailable(SimdLevel lvl);
-
-/// detectedSimdLevel() filtered through the STCG_SIMD override (cached) and
-/// the forceSimdLevel() test hook.
-[[nodiscard]] SimdLevel activeSimdLevel();
-
-/// Test hook: pin activeSimdLevel() to `lvl` (nullopt restores the
-/// environment-driven behavior). An unavailable pinned level resolves to
-/// scalar kernels at laneKernels() time.
-void forceSimdLevel(std::optional<SimdLevel> lvl);
-
-/// One implementation of every hot lane loop. `n` is the lane count; rows
-/// may overlap only exactly (dst == a or dst == b), which every kernel
-/// supports (element i depends only on element i of each operand).
-struct LaneKernels {
-  using U64Bin = void (*)(std::uint64_t* dst, const std::uint64_t* a,
-                          const std::uint64_t* b, int n);
-  using U64Un = void (*)(std::uint64_t* dst, const std::uint64_t* a, int n);
-  using DBin = void (*)(double* dst, const double* a, const double* b, int n);
-
-  // Real rows (double bit patterns).
-  U64Bin rAdd, rSub, rMul, rDivG, rFmin, rFmax;
-  U64Un rNeg, rAbs;
-  U64Bin rCmp[6];  // simd_detail::CmpIx order; results are 0/1 rows
-
-  // Int rows (two's complement; add/sub/neg wrap).
-  U64Bin iAdd, iSub, iMin, iMax;
-  U64Un iNeg, iAbs;
-
-  // Bool rows (0/1).
-  U64Bin bAnd, bOr, bXor;
-  U64Un bNot;
-
-  // dst[i] = c[i] != 0 ? a[i] : b[i], raw payload select.
-  void (*sel64)(std::uint64_t* dst, const std::uint64_t* c,
-                const std::uint64_t* a, const std::uint64_t* b, int n);
-
-  // Distance-overlay rows (genuine doubles).
-  DBin dSum, dMin;
-  DBin dCmp[6][2];  // [CmpIx][want]
-  void (*dTruth)(double* dst, const std::uint64_t* truth, std::uint64_t want,
-                 int n);
-};
-
-/// Kernel table for activeSimdLevel().
-[[nodiscard]] const LaneKernels& laneKernels();
-
-/// Kernel table for a specific level; unavailable levels get the scalar
-/// table.
-[[nodiscard]] const LaneKernels& laneKernelsFor(SimdLevel lvl);
+[[nodiscard]] constexpr SimdLevel activeSimdLevel() {
+  return SimdLevel::kScalar;
+}
 
 }  // namespace stcg::expr

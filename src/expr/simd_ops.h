@@ -1,23 +1,27 @@
-// Shared scalar definitions of every lane-kernel operation.
+// Per-element lane operations and the row loops of the batch engines.
 //
-// These inline helpers are the single source of truth for the per-element
-// semantics of the SIMD lane kernels (expr/simd.h): the portable scalar
-// kernel table is a loop over them, and the AVX2/NEON kernels use them for
-// their unaligned tail lanes — so a vector body and its tail can never
-// disagree. Real payloads travel as raw 64-bit words (double bit patterns)
-// to keep the row views strict-aliasing clean; std::bit_cast converts at
-// the edges.
+// These inline helpers are the single source of truth for the per-lane
+// semantics of expr::BatchTapeExecutor's typed fast paths and
+// solver::BatchDistanceTape's overlay: each engine calls the row loops at
+// the bottom of this file, which apply one helper per element and which
+// the compiler is free to vectorize. Real payloads travel as raw 64-bit
+// words (double bit patterns) to keep the row views strict-aliasing clean;
+// std::bit_cast converts at the edges.
 //
-// Bit-identity notes (pinned by the dispatch-parity fuzz):
+// Bit-identity notes (pinned against the scalar engines by
+// tests/test_simd_batch.cpp):
 //  - fminOp/fmaxOp are std::fmin/std::fmax — glibc at runtime returns the
 //    FIRST operand when the arguments compare equal (fmin(+0.0, -0.0) ==
 //    +0.0; do not trust the constant-folded result, which differs), the
 //    non-NaN operand when exactly one side is NaN, and the SECOND operand
-//    when both are NaN. The vector kernels replicate exactly that
-//    selection; tests/test_simd_batch.cpp pins the ±0 and NaN lanes.
+//    when both are NaN. tests/test_simd_batch.cpp pins the ±0 and NaN
+//    lanes against TapeExecutor.
 //  - divGuard/modGuard implement the engine-wide guarded x/0 == 0.
 //  - Integer add/sub/neg wrap in uint64 space (two's complement), which
 //    is the defined-behavior spelling of what the interpreter computes.
+//  - No row loop multiplies and adds in one expression, so there is no
+//    mul+add for the compiler to contract into an FMA the scalar
+//    engines lack.
 #pragma once
 
 #include <bit>
@@ -55,8 +59,9 @@ inline std::uint64_t rFmaxOp(std::uint64_t a, std::uint64_t b) {
 inline std::uint64_t rNegOp(std::uint64_t a) { return db(-bd(a)); }
 inline std::uint64_t rAbsOp(std::uint64_t a) { return db(std::fabs(bd(a))); }
 
-/// Comparison index shared by the rCmp/dCmp kernel tables.
-enum CmpIx { kIxLt = 0, kIxLe, kIxGt, kIxGe, kIxEq, kIxNe, kCmpIxCount };
+/// Comparison index: BatchTapeExecutor's real-comparison fast paths are
+/// laid out in this order.
+enum CmpIx { kIxLt = 0, kIxLe, kIxGt, kIxGe, kIxEq, kIxNe };
 
 inline int cmpIndex(Op op) {
   switch (op) {
@@ -116,8 +121,8 @@ inline double dMinOp(double a, double b) { return b < a ? b : a; }  // std::min
 /// The negated forms are spelled `kDistEps - x` (identical to `-x + eps`
 /// for every non-NaN x, and the spelling compilers produce for either):
 /// subtraction propagates a NaN x with its sign bit untouched, where an
-/// explicit negate-then-add would flip it — the vector kernels subtract
-/// the same way, keeping NaN distances bit-identical across levels.
+/// explicit negate-then-add would flip it, keeping NaN distances
+/// bit-identical to DistanceTape's.
 template <int Form>
 inline double dFormOp(double x) {
   if constexpr (Form == 0) return std::fabs(x);               // Eq want / Ne !want
@@ -130,6 +135,73 @@ inline double dFormOp(double x) {
 
 inline double dTruthOp(std::uint64_t t, std::uint64_t want) {
   return t == want ? 0.0 : 1.0;
+}
+
+// ---- row loops (n lanes; dst may equal an operand row exactly) ----------
+
+template <std::uint64_t (*ElemOp)(std::uint64_t, std::uint64_t)>
+inline void binRow(std::uint64_t* dst, const std::uint64_t* a,
+                   const std::uint64_t* b, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = ElemOp(a[i], b[i]);
+}
+
+template <std::uint64_t (*ElemOp)(std::uint64_t)>
+inline void unRow(std::uint64_t* dst, const std::uint64_t* a, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = ElemOp(a[i]);
+}
+
+/// dst[i] = c[i] != 0 ? a[i] : b[i], raw payload select.
+inline void sel64Row(std::uint64_t* dst, const std::uint64_t* c,
+                     const std::uint64_t* a, const std::uint64_t* b, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = c[i] != 0 ? a[i] : b[i];
+}
+
+inline void dSumRow(double* dst, const double* a, const double* b, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = dSumOp(a[i], b[i]);
+}
+
+inline void dMinRow(double* dst, const double* a, const double* b, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = dMinOp(a[i], b[i]);
+}
+
+/// Distance form `Form` applied to a[i] - b[i] (or b[i] - a[i] if Swap).
+template <int Form, bool Swap>
+inline void dCmpRow(double* dst, const double* a, const double* b, int n) {
+  for (int i = 0; i < n; ++i) {
+    dst[i] = dFormOp<Form>(Swap ? b[i] - a[i] : a[i] - b[i]);
+  }
+}
+
+/// The kCmp distance of `a op b` being `want`, per lane: Eq want / Ne
+/// !want share Form 0, Eq !want / Ne want Form 1; Lt/Le use x = a - b,
+/// Gt/Ge the swapped difference.
+inline void dCmpRow(Op op, bool want, double* dst, const double* a,
+                    const double* b, int n) {
+  switch (op) {
+    case Op::kEq:
+      return want ? dCmpRow<0, false>(dst, a, b, n)
+                  : dCmpRow<1, false>(dst, a, b, n);
+    case Op::kLt:
+      return want ? dCmpRow<2, false>(dst, a, b, n)
+                  : dCmpRow<3, false>(dst, a, b, n);
+    case Op::kLe:
+      return want ? dCmpRow<4, false>(dst, a, b, n)
+                  : dCmpRow<5, false>(dst, a, b, n);
+    case Op::kGt:
+      return want ? dCmpRow<2, true>(dst, a, b, n)
+                  : dCmpRow<3, true>(dst, a, b, n);
+    case Op::kGe:
+      return want ? dCmpRow<4, true>(dst, a, b, n)
+                  : dCmpRow<5, true>(dst, a, b, n);
+    default:  // kNe
+      return want ? dCmpRow<1, false>(dst, a, b, n)
+                  : dCmpRow<0, false>(dst, a, b, n);
+  }
+}
+
+inline void dTruthRow(double* dst, const std::uint64_t* truth,
+                      std::uint64_t want, int n) {
+  for (int i = 0; i < n; ++i) dst[i] = dTruthOp(truth[i], want);
 }
 
 }  // namespace stcg::expr::simd_detail

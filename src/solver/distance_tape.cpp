@@ -314,7 +314,6 @@ BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
   BuiltDistance built = buildOptimizedDistance(goal);
   prog_ = std::move(built.prog);
   exec_.emplace(std::move(built.tape), lanes);
-  kern_ = &expr::laneKernelsFor(exec_->simdLevel());
   const auto B = static_cast<std::size_t>(exec_->lanes());
   dist_.resize(prog_.slotCount() * B);
   for (std::size_t s = 0; s < prog_.slotCount(); ++s) {
@@ -375,23 +374,22 @@ void BatchDistanceTape::overlayInstr(const DistanceProgram::Instr& in) {
   double* dst = row(in.dst);
   switch (in.kind) {
     case Instr::Kind::kSum:
-      kern_->dSum(dst, row(in.a), row(in.b), B);
+      expr::simd_detail::dSumRow(dst, row(in.a), row(in.b), B);
       break;
     case Instr::Kind::kMin:
-      kern_->dMin(dst, row(in.a), row(in.b), B);
+      expr::simd_detail::dMinRow(dst, row(in.a), row(in.b), B);
       break;
     case Instr::Kind::kCmp:
-      // The dCmp kernel table bakes overlayStep's (op, want) dispatch into
-      // the function pointer: same six distance forms, same operand order,
-      // same kEps, per lane.
+      // overlayStep's six distance forms, same operand order, same kEps,
+      // per lane.
       exec_->readReals({in.va, false}, va_.data());
       exec_->readReals({in.vb, false}, vb_.data());
-      kern_->dCmp[expr::simd_detail::cmpIndex(in.cmpOp)][in.want ? 1 : 0](
-          dst, va_.data(), vb_.data(), B);
+      expr::simd_detail::dCmpRow(in.cmpOp, in.want, dst, va_.data(),
+                                 vb_.data(), B);
       break;
     case Instr::Kind::kTruth:
       exec_->readBools({in.va, false}, truth_.data());
-      kern_->dTruth(dst, truth_.data(), in.want ? 1 : 0, B);
+      expr::simd_detail::dTruthRow(dst, truth_.data(), in.want ? 1 : 0, B);
       break;
   }
 }

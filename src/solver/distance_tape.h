@@ -139,12 +139,11 @@ class BatchDistanceTape {
 
   /// Evaluate all lanes: one batched value-tape pass, then the overlay
   /// program with the instruction loop outside and the lane loop inside —
-  /// kSum/kMin run the dSum/dMin lane kernels over the lane-major
-  /// distance rows and kCmp/kTruth read the value tape lane-wide into the
-  /// dCmp/dTruth kernels (expr/simd.h), so the overlay's dispatch cost
-  /// amortizes across lanes exactly like the value tape's. Each lane's
-  /// arithmetic is overlayStep's, operand for operand, at every SIMD
-  /// level.
+  /// kSum/kMin run the dSumRow/dMinRow loops over the lane-major distance
+  /// rows and kCmp/kTruth read the value tape lane-wide into the
+  /// dCmpRow/dTruthRow loops (expr/simd_ops.h), so the overlay's dispatch
+  /// cost amortizes across lanes exactly like the value tape's. Each
+  /// lane's arithmetic is overlayStep's, operand for operand.
   void run();
 
   /// run() with per-lane early-exit masks: while sweeping the overlay, a
@@ -169,13 +168,12 @@ class BatchDistanceTape {
   [[nodiscard]] const OverlayStats& overlayStats() const { return stats_; }
 
  private:
-  /// One overlay instruction, full row width, through the lane kernels.
+  /// One overlay instruction, full row width, through the row loops.
   void overlayInstr(const DistanceProgram::Instr& in);
 
   std::vector<expr::VarInfo> vars_;
   DistanceProgram prog_;
   std::optional<expr::BatchTapeExecutor> exec_;
-  const expr::LaneKernels* kern_ = nullptr;  // same level as exec_
   util::AlignedVec<double> dist_;  // [slot * lanes + lane]
   util::AlignedVec<double> va_, vb_;      // lane-wide kCmp operand scratch
   util::AlignedVec<std::uint64_t> truth_; // lane-wide kTruth scratch

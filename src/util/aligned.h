@@ -1,9 +1,9 @@
 // 64-byte-aligned vector storage for the SoA lane buffers.
 //
 // The batch engines index rows as `data[slot * B + lane]`; aligning the
-// base to a cache line keeps whole B=8 rows inside one line and gives the
-// SIMD kernels aligned starts for the common row widths (the kernels still
-// use unaligned loads, so this is a performance property, not a contract).
+// base to a cache line keeps every B=8 row inside one line, so a row loop
+// touches one line per row. Nothing relies on the alignment for
+// correctness: it is a performance property, not a contract.
 #pragma once
 
 #include <cstddef>

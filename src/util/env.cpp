@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 
 namespace stcg::util {
 
@@ -24,8 +25,7 @@ std::atomic<std::size_t>& diagCount() {
   return n;
 }
 
-void diagnose(const char* name, const char* value,
-              const std::string& accepted) {
+void diagnose(const char* name, const char* value) {
   // One report per (variable, value): a flag read in a hot loop must not
   // spam, but changing the value mid-process should report again.
   static std::mutex mu;
@@ -33,8 +33,10 @@ void diagnose(const char* name, const char* value,
   std::lock_guard<std::mutex> lock(mu);
   if (!seen.insert(std::string(name) + "=" + value).second) return;
   diagCount().fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr, "stcg: ignoring unrecognized %s='%s' (accepted: %s)\n",
-               name, value, accepted.c_str());
+  std::fprintf(stderr,
+               "stcg: ignoring unrecognized %s='%s' (accepted: "
+               "0/false/off/no, 1/true/on/yes)\n",
+               name, value);
 }
 
 }  // namespace
@@ -45,24 +47,8 @@ bool envFlag(const char* name, bool def) {
   const std::string v = lowered(e);
   if (v == "0" || v == "false" || v == "off" || v == "no") return false;
   if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  diagnose(name, e, "0/false/off/no, 1/true/on/yes");
+  diagnose(name, e);
   return def;
-}
-
-int envEnum(const char* name, const std::vector<std::string>& allowed) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || *e == '\0') return -1;
-  const std::string v = lowered(e);
-  for (std::size_t i = 0; i < allowed.size(); ++i) {
-    if (v == allowed[i]) return static_cast<int>(i);
-  }
-  std::string accepted;
-  for (std::size_t i = 0; i < allowed.size(); ++i) {
-    if (i > 0) accepted += ", ";
-    accepted += allowed[i];
-  }
-  diagnose(name, e, accepted);
-  return -1;
 }
 
 std::size_t envDiagnosticCount() {

@@ -1,19 +1,12 @@
-// SIMD dispatch-parity and early-exit-mask tests (DESIGN.md §5i).
+// Batch lane-loop parity and early-exit-mask tests (DESIGN.md §5i).
 //
-//   - runtime dispatch: detection invariants, forceSimdLevel pinning an
-//     executor's path at construction, unavailable levels degrading to
-//     the scalar table,
-//   - the STCG_SIMD-style env grammar through util::envFlag/envEnum
-//     (exercised on scratch variable names: the real STCG_SIMD parse is
-//     cached process-wide),
-//   - dispatch parity: random-DAG differential fuzz plus targeted
-//     special values (NaN, ±inf, ±0, fmin/fmax equal operands, int
-//     wrap extremes, division by zero) pinned bitwise between the
-//     scalar kernels, the vector kernels, and the scalar TapeExecutor,
+//   - the util::envFlag grammar (on a scratch variable name),
+//   - lane parity: random-DAG differential fuzz plus targeted special
+//     values (NaN, ±inf, ±0, fmin/fmax equal operands, int wrap
+//     extremes, division by zero) pinned bitwise between the batch
+//     executor's row loops and a scalar TapeExecutor per lane,
 //   - the Korel/Tracey kCmp distance forms (all six comparisons, both
-//     wants, plus kTruth) bitwise across levels and vs DistanceTape,
-//   - an 8-model sweep: BatchSimulator observations, outputs, and state
-//     hashes bit-identical scalar vs vectorized,
+//     wants, plus kTruth) bitwise against DistanceTape::rebind,
 //   - early-exit masks: runBounded() vs run() equivalence for callers
 //     that consume distances through `d < bound`, masked lanes pinned
 //     to +inf, the climber's accept order provably unchanged, and the
@@ -27,7 +20,6 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "analysis/interval_tape.h"
@@ -37,10 +29,8 @@
 #include "coverage/coverage.h"
 #include "expr/batch_tape.h"
 #include "expr/builder.h"
-#include "expr/simd.h"
 #include "expr/tape.h"
 #include "interval/interval.h"
-#include "sim/batch_simulator.h"
 #include "sim/simulator.h"
 #include "solver/distance_tape.h"
 #include "util/env.h"
@@ -61,7 +51,6 @@ using fuzz::sameScalar;
 using expr::Env;
 using expr::ExprPtr;
 using expr::Scalar;
-using expr::SimdLevel;
 using expr::SlotRef;
 using expr::Type;
 using expr::VarInfo;
@@ -71,103 +60,15 @@ constexpr int kLanes = 8;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kQnan = std::numeric_limits<double>::quiet_NaN();
 
-/// Pin activeSimdLevel() for a scope; executors constructed inside keep
-/// the pinned kernel table for their whole lifetime.
-class ForcedLevel {
- public:
-  explicit ForcedLevel(SimdLevel lvl) { expr::forceSimdLevel(lvl); }
-  ~ForcedLevel() { expr::forceSimdLevel(std::nullopt); }
-  ForcedLevel(const ForcedLevel&) = delete;
-  ForcedLevel& operator=(const ForcedLevel&) = delete;
-};
+// ----- The env-flag grammar (on a scratch variable) ------------------------
 
-/// The best non-scalar level on this machine, or nullopt when the build
-/// or CPU has none (parity tests skip: there is nothing to compare).
-std::optional<SimdLevel> vectorLevel() {
-  const SimdLevel det = expr::detectedSimdLevel();
-  if (det == SimdLevel::kScalar) return std::nullopt;
-  return det;
-}
-
-// ----- Dispatch: detection, pinning, fallback ------------------------------
-
-TEST(SimdDispatch, ScalarAlwaysAvailableAndActiveLevelIsAvailable) {
-  EXPECT_TRUE(expr::simdLevelAvailable(SimdLevel::kScalar));
-  EXPECT_TRUE(expr::simdLevelAvailable(expr::detectedSimdLevel()));
-  EXPECT_TRUE(expr::simdLevelAvailable(expr::activeSimdLevel()));
-  EXPECT_STREQ(expr::simdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(expr::simdLevelName(SimdLevel::kAvx2), "avx2");
-  EXPECT_STREQ(expr::simdLevelName(SimdLevel::kNeon), "neon");
-}
-
-TEST(SimdDispatch, ForceLevelPinsExecutorsAtConstruction) {
-  const VarInfo x{0, "x", Type::kReal, -10, 10};
-  expr::TapeBuilder b;
-  (void)b.addRoot(expr::addE(expr::mkVar(x), expr::cReal(1.0)));
-  const auto tape = b.finish();
-
-  {
-    ForcedLevel pin(SimdLevel::kScalar);
-    expr::BatchTapeExecutor bx(tape, 4);
-    EXPECT_EQ(bx.simdLevel(), SimdLevel::kScalar);
-  }
-  if (const auto vec = vectorLevel()) {
-    ForcedLevel pin(*vec);
-    expr::BatchTapeExecutor bx(tape, 4);
-    EXPECT_EQ(bx.simdLevel(), *vec);
-    // Restoring the hook must not retro-actively change the pinned path.
-    expr::forceSimdLevel(std::nullopt);
-    EXPECT_EQ(bx.simdLevel(), *vec);
-  }
-  // An executor constructed after the guard reverts to the active level.
-  expr::BatchTapeExecutor bx(tape, 4);
-  EXPECT_EQ(bx.simdLevel(), expr::activeSimdLevel());
-}
-
-TEST(SimdDispatch, UnavailableLevelsResolveToTheScalarTable) {
-  for (const SimdLevel lvl :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (expr::simdLevelAvailable(lvl)) continue;
-    EXPECT_EQ(&expr::laneKernelsFor(lvl),
-              &expr::laneKernelsFor(SimdLevel::kScalar))
-        << expr::simdLevelName(lvl);
-  }
-}
-
-// ----- The STCG_SIMD env grammar (on scratch variables) --------------------
-
-TEST(SimdEnv, EnumGrammarMatchesTheSimdSpellings) {
-  // The accepted STCG_SIMD spellings, in the order simd.cpp passes them.
-  const std::vector<std::string> allowed = {"0",    "scalar", "avx2",
-                                            "neon", "1",      "auto"};
-  const char* var = "STCG_TEST_SIMD_ENUM";
-  ::unsetenv(var);
-  EXPECT_EQ(util::envEnum(var, allowed), -1) << "unset -> -1";
-  ::setenv(var, "", 1);
-  EXPECT_EQ(util::envEnum(var, allowed), -1) << "empty -> -1";
-  ::setenv(var, "scalar", 1);
-  EXPECT_EQ(util::envEnum(var, allowed), 1);
-  ::setenv(var, "AVX2", 1);
-  EXPECT_EQ(util::envEnum(var, allowed), 2) << "case-insensitive";
-  ::setenv(var, "auto", 1);
-  EXPECT_EQ(util::envEnum(var, allowed), 5);
-
-  const std::size_t before = util::envDiagnosticCount();
-  ::setenv(var, "avx512-definitely-not-a-level", 1);
-  EXPECT_EQ(util::envEnum(var, allowed), -1);
-  EXPECT_EQ(util::envDiagnosticCount(), before + 1)
-      << "unrecognized value -> one diagnostic";
-  EXPECT_EQ(util::envEnum(var, allowed), -1);
-  EXPECT_EQ(util::envDiagnosticCount(), before + 1)
-      << "repeated parse of the same (variable, value) stays silent";
-  ::unsetenv(var);
-}
-
-TEST(SimdEnv, FlagGrammarKeepsDefaultsOnGarbage) {
-  const char* var = "STCG_TEST_SIMD_FLAG";
+TEST(EnvFlag, FlagGrammarKeepsDefaultsOnGarbage) {
+  const char* var = "STCG_TEST_ENV_FLAG";
   ::unsetenv(var);
   EXPECT_TRUE(util::envFlag(var, true));
   EXPECT_FALSE(util::envFlag(var, false));
+  ::setenv(var, "", 1);
+  EXPECT_TRUE(util::envFlag(var, true)) << "empty keeps the default";
   for (const char* on : {"1", "true", "ON", "yes"}) {
     ::setenv(var, on, 1);
     EXPECT_TRUE(util::envFlag(var, false)) << on;
@@ -179,15 +80,17 @@ TEST(SimdEnv, FlagGrammarKeepsDefaultsOnGarbage) {
   const std::size_t before = util::envDiagnosticCount();
   ::setenv(var, "definitely-not-boolean", 1);
   EXPECT_TRUE(util::envFlag(var, true)) << "garbage keeps the default";
-  EXPECT_GE(util::envDiagnosticCount(), before + 1);
+  EXPECT_EQ(util::envDiagnosticCount(), before + 1)
+      << "unrecognized value -> one diagnostic";
+  EXPECT_FALSE(util::envFlag(var, false)) << "garbage keeps the default";
+  EXPECT_EQ(util::envDiagnosticCount(), before + 1)
+      << "repeated parse of the same (variable, value) stays silent";
   ::unsetenv(var);
 }
 
-// ----- Dispatch parity: random-DAG differential fuzz -----------------------
+// ----- Lane parity: random-DAG differential fuzz ---------------------------
 
-TEST(SimdParityFuzz, RandomDagLanesBitIdenticalAcrossLevels) {
-  const auto vec = vectorLevel();
-  if (!vec) GTEST_SKIP() << "no vector unit: nothing to compare";
+TEST(SimdParityFuzz, RandomDagLanesBitIdentical) {
   Rng rng(52801);
   for (int trial = 0; trial < 12; ++trial) {
     FuzzDag d = makeFuzzDag(rng, /*withArrays=*/true);
@@ -208,56 +111,34 @@ TEST(SimdParityFuzz, RandomDagLanesBitIdenticalAcrossLevels) {
     addRootFrom(d.intArrays);
     const auto tape = b.finish();
 
-    std::unique_ptr<expr::BatchTapeExecutor> sx, vx;
-    {
-      ForcedLevel pin(SimdLevel::kScalar);
-      sx = std::make_unique<expr::BatchTapeExecutor>(tape, kLanes);
-    }
-    {
-      ForcedLevel pin(*vec);
-      vx = std::make_unique<expr::BatchTapeExecutor>(tape, kLanes);
-    }
-    ASSERT_EQ(sx->simdLevel(), SimdLevel::kScalar);
-    ASSERT_EQ(vx->simdLevel(), *vec);
-
-    // A scalar TapeExecutor per lane as the third, kernel-free oracle.
+    expr::BatchTapeExecutor bx(tape, kLanes);
+    // A scalar TapeExecutor per lane as the loop-free oracle.
     std::vector<std::unique_ptr<expr::TapeExecutor>> refs;
     for (int l = 0; l < kLanes; ++l) {
       const Env env = randomEnv(rng, d);
       refs.push_back(std::make_unique<expr::TapeExecutor>(tape));
       refs.back()->bindEnv(env);
-      sx->bindEnv(l, env);
-      vx->bindEnv(l, env);
+      bx.bindEnv(l, env);
     }
     const auto runAndCheck = [&](const char* what) {
-      sx->run();
-      vx->run();
+      bx.run();
       for (int l = 0; l < kLanes; ++l) {
         auto& ref = *refs[static_cast<std::size_t>(l)];
         ref.run();
         for (std::size_t i = 0; i < roots.size(); ++i) {
           if (roots[i]->isArray()) {
             const auto& a = ref.array(slots[i]);
-            const auto& sa = sx->array(slots[i], l);
-            const auto& va = vx->array(slots[i], l);
-            ASSERT_EQ(a.size(), sa.size());
-            ASSERT_EQ(a.size(), va.size());
+            const auto& ba = bx.array(slots[i], l);
+            ASSERT_EQ(a.size(), ba.size());
             for (std::size_t j = 0; j < a.size(); ++j) {
-              EXPECT_TRUE(sameScalar(a[j], sa[j]))
+              EXPECT_TRUE(sameScalar(a[j], ba[j]))
                   << what << " trial " << trial << " lane " << l << " root "
-                  << i << " [" << j << "] (scalar kernels)";
-              EXPECT_TRUE(sameScalar(sa[j], va[j]))
-                  << what << " trial " << trial << " lane " << l << " root "
-                  << i << " [" << j << "] (vector kernels)";
+                  << i << " [" << j << "]";
             }
           } else {
-            EXPECT_TRUE(sameScalar(ref.scalar(slots[i]), sx->scalar(slots[i], l)))
-                << what << " trial " << trial << " lane " << l << " root " << i
-                << " (scalar kernels)";
-            EXPECT_TRUE(sameScalar(sx->scalar(slots[i], l),
-                                   vx->scalar(slots[i], l)))
-                << what << " trial " << trial << " lane " << l << " root " << i
-                << " (vector kernels)";
+            EXPECT_TRUE(
+                sameScalar(ref.scalar(slots[i]), bx.scalar(slots[i], l)))
+                << what << " trial " << trial << " lane " << l << " root " << i;
           }
         }
       }
@@ -269,8 +150,7 @@ TEST(SimdParityFuzz, RandomDagLanesBitIdenticalAcrossLevels) {
           const auto& v = d.vars[rng.index(d.vars.size())];
           const Scalar nv = randomScalarFor(rng, v);
           refs[static_cast<std::size_t>(l)]->setVar(v.id, nv);
-          sx->setVar(l, v.id, nv);
-          vx->setVar(l, v.id, nv);
+          bx.setVar(l, v.id, nv);
         }
       }
       runAndCheck("rebound");
@@ -278,17 +158,15 @@ TEST(SimdParityFuzz, RandomDagLanesBitIdenticalAcrossLevels) {
   }
 }
 
-// ----- Dispatch parity: payload-row array paths ----------------------------
+// ----- Lane parity: payload-row array paths --------------------------------
 
 // Mixed-element-type arrays, forced-dynamic selects, out-of-range index
 // clamps, and arrMove_ swap interleavings, lane-for-lane against the
-// scalar TapeExecutor under both the scalar and the vector kernel tables.
-// Rounds alternate per-lane binds (column writes into the tag planes)
-// with broadcast binds (row fan-out), so uniform<->mixed plane
-// transitions and setArrayVarBroadcast parity are both covered.
-TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdenticalAcrossLevels) {
-  const auto vec = vectorLevel();
-  if (!vec) GTEST_SKIP() << "no vector unit: nothing to compare";
+// scalar TapeExecutor. Rounds alternate per-lane binds (column writes
+// into the tag planes) with broadcast binds (row fan-out), so
+// uniform<->mixed plane transitions and setArrayVarBroadcast parity are
+// both covered.
+TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdentical) {
   Rng rng(90217);
   for (int trial = 0; trial < 12; ++trial) {
     FuzzDag d = makeFuzzDag(rng, /*withArrays=*/true);
@@ -314,58 +192,37 @@ TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdenticalAcrossLevels) {
     addRootFrom(d.bools);
     const auto tape = b.finish();
 
-    std::unique_ptr<expr::BatchTapeExecutor> sx, vx;
-    {
-      ForcedLevel pin(SimdLevel::kScalar);
-      sx = std::make_unique<expr::BatchTapeExecutor>(tape, kLanes);
-    }
-    {
-      ForcedLevel pin(*vec);
-      vx = std::make_unique<expr::BatchTapeExecutor>(tape, kLanes);
-    }
-
+    expr::BatchTapeExecutor bx(tape, kLanes);
     std::vector<std::unique_ptr<expr::TapeExecutor>> refs;
     for (int l = 0; l < kLanes; ++l) {
       const Env env = fuzz::randomEnvMixedArrays(rng, d);
       refs.push_back(std::make_unique<expr::TapeExecutor>(tape));
       refs.back()->bindEnv(env);
-      sx->bindEnv(l, env);
-      vx->bindEnv(l, env);
+      bx.bindEnv(l, env);
     }
     const auto runAndCheck = [&](const char* what) {
-      sx->run();
-      vx->run();
+      bx.run();
       for (int l = 0; l < kLanes; ++l) {
         auto& ref = *refs[static_cast<std::size_t>(l)];
         ref.run();
         for (std::size_t i = 0; i < roots.size(); ++i) {
           if (roots[i]->isArray()) {
             const auto& a = ref.array(slots[i]);
-            const auto& sa = sx->array(slots[i], l);
-            const auto& va = vx->array(slots[i], l);
-            ASSERT_EQ(a.size(), sa.size());
-            ASSERT_EQ(a.size(), va.size());
-            ASSERT_EQ(a.size(), sx->arrayLen(slots[i], l));
+            const auto& ba = bx.array(slots[i], l);
+            ASSERT_EQ(a.size(), ba.size());
+            ASSERT_EQ(a.size(), bx.arrayLen(slots[i], l));
             for (std::size_t j = 0; j < a.size(); ++j) {
-              EXPECT_TRUE(sameScalar(a[j], sa[j]))
+              EXPECT_TRUE(sameScalar(a[j], ba[j]))
                   << what << " trial " << trial << " lane " << l << " root "
-                  << i << " [" << j << "] (scalar kernels)";
-              EXPECT_TRUE(sameScalar(sa[j], va[j]))
-                  << what << " trial " << trial << " lane " << l << " root "
-                  << i << " [" << j << "] (vector kernels)";
-              EXPECT_TRUE(sameScalar(a[j], sx->arrayElem(slots[i], l, j)))
+                  << i << " [" << j << "] (array)";
+              EXPECT_TRUE(sameScalar(a[j], bx.arrayElem(slots[i], l, j)))
                   << what << " trial " << trial << " lane " << l << " root "
                   << i << " [" << j << "] (arrayElem)";
             }
           } else {
             EXPECT_TRUE(
-                sameScalar(ref.scalar(slots[i]), sx->scalar(slots[i], l)))
-                << what << " trial " << trial << " lane " << l << " root " << i
-                << " (scalar kernels)";
-            EXPECT_TRUE(sameScalar(sx->scalar(slots[i], l),
-                                   vx->scalar(slots[i], l)))
-                << what << " trial " << trial << " lane " << l << " root " << i
-                << " (vector kernels)";
+                sameScalar(ref.scalar(slots[i]), bx.scalar(slots[i], l)))
+                << what << " trial " << trial << " lane " << l << " root " << i;
           }
         }
       }
@@ -377,10 +234,8 @@ TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdenticalAcrossLevels) {
         // equal B per-lane binds of the same vector.
         const auto ar = fuzz::randomMixedArray(rng, 4);
         const auto ai = fuzz::randomMixedArray(rng, 3);
-        sx->setArrayVarBroadcast(fuzz::kRealArrId, ar);
-        vx->setArrayVarBroadcast(fuzz::kRealArrId, ar);
-        sx->setArrayVarBroadcast(fuzz::kIntArrId, ai);
-        vx->setArrayVarBroadcast(fuzz::kIntArrId, ai);
+        bx.setArrayVarBroadcast(fuzz::kRealArrId, ar);
+        bx.setArrayVarBroadcast(fuzz::kIntArrId, ai);
         for (int l = 0; l < kLanes; ++l) {
           refs[static_cast<std::size_t>(l)]->setArrayVar(fuzz::kRealArrId, ar);
           refs[static_cast<std::size_t>(l)]->setArrayVar(fuzz::kIntArrId, ai);
@@ -392,15 +247,12 @@ TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdenticalAcrossLevels) {
           const auto ai = fuzz::randomMixedArray(rng, 3);
           ref.setArrayVar(fuzz::kRealArrId, ar);
           ref.setArrayVar(fuzz::kIntArrId, ai);
-          sx->setArrayVar(l, fuzz::kRealArrId, ar);
-          vx->setArrayVar(l, fuzz::kRealArrId, ar);
-          sx->setArrayVar(l, fuzz::kIntArrId, ai);
-          vx->setArrayVar(l, fuzz::kIntArrId, ai);
+          bx.setArrayVar(l, fuzz::kRealArrId, ar);
+          bx.setArrayVar(l, fuzz::kIntArrId, ai);
           const auto& v = d.vars[rng.index(d.vars.size())];
           const Scalar nv = randomScalarFor(rng, v);
           ref.setVar(v.id, nv);
-          sx->setVar(l, v.id, nv);
-          vx->setVar(l, v.id, nv);
+          bx.setVar(l, v.id, nv);
         }
       }
       runAndCheck(round == 1 ? "broadcast" : "rebound");
@@ -410,7 +262,7 @@ TEST(SimdArrayParityFuzz, MixedTypeArraysBitIdenticalAcrossLevels) {
 
 // Saturation edges of the index clamp: INT64_MIN/MAX, -1, 0, n-1, n as
 // literal indices through kSelect and kStore, plus a real index whose
-// toInt saturates, at every level against the scalar executor.
+// toInt saturates, against the scalar executor.
 TEST(SimdArrayParity, ExtremeIndexClampEdges) {
   const std::vector<std::int64_t> idxs = {
       std::numeric_limits<std::int64_t>::min(), -1, 0, 2, 3, 4,
@@ -438,28 +290,20 @@ TEST(SimdArrayParity, ExtremeIndexClampEdges) {
   expr::TapeExecutor ref(tape);
   ref.setVar(iv.id, Scalar::i(7));
   ref.run();
-  for (const SimdLevel lvl :
-       {SimdLevel::kScalar, expr::detectedSimdLevel()}) {
-    ForcedLevel pin(lvl);
-    expr::BatchTapeExecutor bx(tape, kLanes);
-    for (int l = 0; l < kLanes; ++l) bx.setVar(l, iv.id, Scalar::i(7));
-    bx.run();
-    for (const SlotRef& s : slots) {
-      for (int l = 0; l < kLanes; ++l) {
-        EXPECT_TRUE(sameScalar(ref.scalar(s), bx.scalar(s, l)))
-            << expr::simdLevelName(lvl) << " slot " << s.slot << " lane "
-            << l;
-      }
+  expr::BatchTapeExecutor bx(tape, kLanes);
+  for (int l = 0; l < kLanes; ++l) bx.setVar(l, iv.id, Scalar::i(7));
+  bx.run();
+  for (const SlotRef& s : slots) {
+    for (int l = 0; l < kLanes; ++l) {
+      EXPECT_TRUE(sameScalar(ref.scalar(s), bx.scalar(s, l)))
+          << "slot " << s.slot << " lane " << l;
     }
   }
 }
 
-// ----- Dispatch parity: targeted special values ----------------------------
+// ----- Lane parity: targeted special values --------------------------------
 
-TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
-  const auto vec = vectorLevel();
-  if (!vec) GTEST_SKIP() << "no vector unit: nothing to compare";
-
+TEST(SimdParity, SpecialValuesBitIdentical) {
   const VarInfo r0{0, "r0", Type::kReal, -100, 100};
   const VarInfo r1{1, "r1", Type::kReal, -100, 100};
   const VarInfo i0{2, "i0", Type::kInt, -100, 100};
@@ -473,7 +317,7 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
   expr::TapeBuilder b;
   std::vector<SlotRef> slots;
   const auto root = [&](ExprPtr e) { slots.push_back(b.addRoot(std::move(e))); };
-  // Real kernels: arithmetic, guarded division, fmin/fmax, neg/abs, the
+  // Real row loops: arithmetic, guarded division, fmin/fmax, neg/abs, the
   // six comparisons.
   root(expr::addE(R0, R1));
   root(expr::subE(R0, R1));
@@ -489,7 +333,7 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
   root(expr::geE(R0, R1));
   root(expr::eqE(R0, R1));
   root(expr::neE(R0, R1));
-  // Int kernels (wrap semantics) and the guarded int division.
+  // Int row loops (wrap semantics) and the guarded int division.
   root(expr::addE(I0, I1));
   root(expr::subE(I0, I1));
   root(expr::minE(I0, I1));
@@ -498,7 +342,7 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
   root(expr::absE(I0));
   root(expr::divE(I0, I1));
   root(expr::modE(I0, I1));
-  // Bool kernels and the raw-payload select.
+  // Bool row loops and the raw-payload select.
   root(expr::andE(B0, B1));
   root(expr::orE(B0, B1));
   root(expr::xorE(B0, B1));
@@ -508,7 +352,7 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
   const auto tape = b.finish();
 
   // One special pair per lane: NaN on either side and both, ±0 in both
-  // orders (fmin/fmax equal-operand: glibc returns the SECOND operand),
+  // orders (fmin/fmax equal-operand: glibc returns the FIRST operand),
   // opposite infinities (their sum is NaN), equal infinities, and an
   // ordinary equal pair. Int lanes mix signs and hit the guarded zero
   // divisors at the same time (the engine's int domain excludes the
@@ -530,15 +374,7 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
   };
   const int B = static_cast<int>(laneEnvs.size());
 
-  std::unique_ptr<expr::BatchTapeExecutor> sx, vx;
-  {
-    ForcedLevel pin(SimdLevel::kScalar);
-    sx = std::make_unique<expr::BatchTapeExecutor>(tape, B);
-  }
-  {
-    ForcedLevel pin(*vec);
-    vx = std::make_unique<expr::BatchTapeExecutor>(tape, B);
-  }
+  expr::BatchTapeExecutor bx(tape, B);
   std::vector<std::unique_ptr<expr::TapeExecutor>> refs;
   for (int l = 0; l < B; ++l) {
     const LaneEnv& le = laneEnvs[static_cast<std::size_t>(l)];
@@ -551,34 +387,27 @@ TEST(SimdParity, SpecialValuesBitIdenticalAcrossLevels) {
     env.set(b1.id, Scalar::b(le.b1v));
     refs.push_back(std::make_unique<expr::TapeExecutor>(tape));
     refs.back()->bindEnv(env);
-    sx->bindEnv(l, env);
-    vx->bindEnv(l, env);
+    bx.bindEnv(l, env);
   }
-  sx->run();
-  vx->run();
+  bx.run();
   for (int l = 0; l < B; ++l) {
     auto& ref = *refs[static_cast<std::size_t>(l)];
     ref.run();
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      EXPECT_TRUE(sameScalar(ref.scalar(slots[i]), sx->scalar(slots[i], l)))
-          << "lane " << l << " root " << i << " (scalar kernels vs tree)";
-      EXPECT_TRUE(sameScalar(sx->scalar(slots[i], l), vx->scalar(slots[i], l)))
-          << "lane " << l << " root " << i << " (vector vs scalar kernels)";
+      EXPECT_TRUE(sameScalar(ref.scalar(slots[i]), bx.scalar(slots[i], l)))
+          << "lane " << l << " root " << i;
     }
   }
-  // Spot-check the operand-order contract survived vectorization: with
+  // Spot-check the operand-order contract of the row loops: with
   // r0 = +0.0, r1 = -0.0 (lane 3), runtime glibc fmin/fmax return the
   // FIRST operand when the arguments compare equal (simd_ops.h).
-  EXPECT_TRUE(sameBits(vx->scalar(slots[4], 3).toReal(), +0.0));
-  EXPECT_TRUE(sameBits(vx->scalar(slots[5], 3).toReal(), +0.0));
+  EXPECT_TRUE(sameBits(bx.scalar(slots[4], 3).toReal(), +0.0));
+  EXPECT_TRUE(sameBits(bx.scalar(slots[5], 3).toReal(), +0.0));
 }
 
-// ----- Dispatch parity: Korel/Tracey kCmp distance forms -------------------
+// ----- Lane parity: Korel/Tracey kCmp distance forms -----------------------
 
-TEST(SimdParity, DistanceKCmpFormsBitIdenticalAcrossLevels) {
-  const auto vec = vectorLevel();
-  if (!vec) GTEST_SKIP() << "no vector unit: nothing to compare";
-
+TEST(SimdParity, DistanceKCmpFormsBitIdentical) {
   const VarInfo x{0, "x", Type::kReal, -1000, 1000};
   const VarInfo y{1, "y", Type::kReal, -1000, 1000};
   const std::vector<VarInfo> vars = {x, y};
@@ -587,8 +416,8 @@ TEST(SimdParity, DistanceKCmpFormsBitIdenticalAcrossLevels) {
   std::vector<ExprPtr> goals;
   for (const auto& mk : {expr::ltE, expr::leE, expr::gtE, expr::geE,
                          expr::eqE, expr::neE}) {
-    goals.push_back(mk(X, Y));             // dCmp[ix][want=true]
-    goals.push_back(expr::notE(mk(X, Y))); // dCmp[ix][want=false]
+    goals.push_back(mk(X, Y));             // dCmpRow(op, want=true)
+    goals.push_back(expr::notE(mk(X, Y))); // dCmpRow(op, want=false)
   }
   // A composite goal (kSum + kMin over the forms) and a bare truth goal.
   goals.push_back(expr::orE(expr::andE(expr::ltE(X, Y), expr::geE(X, Y)),
@@ -607,99 +436,22 @@ TEST(SimdParity, DistanceKCmpFormsBitIdenticalAcrossLevels) {
 
   for (std::size_t g = 0; g < goals.size(); ++g) {
     solver::DistanceTape oracle(goals[g], vars);
-    std::unique_ptr<solver::BatchDistanceTape> sx, vx;
-    {
-      ForcedLevel pin(SimdLevel::kScalar);
-      sx = std::make_unique<solver::BatchDistanceTape>(goals[g], vars, kLanes);
-    }
-    {
-      ForcedLevel pin(*vec);
-      vx = std::make_unique<solver::BatchDistanceTape>(goals[g], vars, kLanes);
-    }
+    solver::BatchDistanceTape bd(goals[g], vars, kLanes);
     for (std::size_t base = 0; base + kLanes <= points.size();
          base += kLanes) {
       for (int l = 0; l < kLanes; ++l) {
-        sx->setPoint(l, points[base + static_cast<std::size_t>(l)]);
-        vx->setPoint(l, points[base + static_cast<std::size_t>(l)]);
+        bd.setPoint(l, points[base + static_cast<std::size_t>(l)]);
       }
-      sx->run();
-      vx->run();
+      bd.run();
       for (int l = 0; l < kLanes; ++l) {
         const double ref =
             oracle.rebind(points[base + static_cast<std::size_t>(l)]);
-        EXPECT_TRUE(sameBits(ref, sx->distance(l)))
-            << "goal " << g << " point " << base + l << " (scalar kernels)";
-        EXPECT_TRUE(sameBits(sx->distance(l), vx->distance(l)))
-            << "goal " << g << " point " << base + l << " (vector kernels)";
+        EXPECT_TRUE(sameBits(ref, bd.distance(l)))
+            << "goal " << g << " point " << base + l;
       }
     }
   }
 }
-
-// ----- Dispatch parity: 8-model simulation sweep ---------------------------
-
-class SimdModelSweep : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(SimdModelSweep, BatchSimulationBitIdenticalScalarVsVector) {
-  const auto vec = vectorLevel();
-  if (!vec) GTEST_SKIP() << "no vector unit: nothing to compare";
-  const auto cm = compile::compile(bench::buildBenchModel(GetParam()));
-  constexpr int B = 4;
-
-  std::unique_ptr<sim::BatchSimulator> ssim, vsim;
-  {
-    ForcedLevel pin(SimdLevel::kScalar);
-    ssim = std::make_unique<sim::BatchSimulator>(cm, B);
-  }
-  {
-    ForcedLevel pin(*vec);
-    vsim = std::make_unique<sim::BatchSimulator>(cm, B);
-  }
-
-  Rng rng(41117);
-  std::vector<sim::InputVector> ins(B);
-  std::vector<const sim::InputVector*> inPtrs(B);
-  sim::StepObservationBatch obsS, obsV;
-  const std::size_t nDecisions = cm.decisions.size();
-  for (int stepNo = 0; stepNo < 80; ++stepNo) {
-    for (int l = 0; l < B; ++l) {
-      ins[static_cast<std::size_t>(l)] = sim::randomInput(cm, rng);
-      inPtrs[static_cast<std::size_t>(l)] = &ins[static_cast<std::size_t>(l)];
-    }
-    ssim->stepBatch(inPtrs, obsS);
-    vsim->stepBatch(inPtrs, obsV);
-    for (int l = 0; l < B; ++l) {
-      ASSERT_EQ(obsS.outputCount(), obsV.outputCount());
-      for (std::size_t i = 0; i < obsS.outputCount(); ++i) {
-        EXPECT_TRUE(sameScalar(obsS.output(l, i), obsV.output(l, i)))
-            << "step " << stepNo << " lane " << l << " output " << i;
-      }
-      for (std::size_t di = 0; di < nDecisions; ++di) {
-        ASSERT_EQ(obsS.decisionTaken(l, di), obsV.decisionTaken(l, di))
-            << "step " << stepNo << " lane " << l << " decision " << di;
-        if (obsS.decisionTaken(l, di) < 0) continue;
-        const std::size_t nc = obsS.conditionCount(di);
-        ASSERT_EQ(nc, obsV.conditionCount(di));
-        for (std::size_t ci = 0; ci < nc; ++ci) {
-          EXPECT_EQ(obsS.conditionValues(l, di)[ci],
-                    obsV.conditionValues(l, di)[ci])
-              << "step " << stepNo << " lane " << l << " decision " << di
-              << " condition " << ci;
-        }
-      }
-      EXPECT_TRUE(ssim->state(l) == vsim->state(l))
-          << "step " << stepNo << " lane " << l;
-      EXPECT_EQ(sim::snapshotHash(ssim->state(l)),
-                sim::snapshotHash(vsim->state(l)))
-          << "step " << stepNo << " lane " << l;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModels, SimdModelSweep,
-                         ::testing::Values("CPUTask", "AFC", "TWC",
-                                           "NICProtocol", "UTPC", "LANSwitch",
-                                           "LEDLC", "TCP"));
 
 // ----- Early-exit masks: runBounded vs run ---------------------------------
 

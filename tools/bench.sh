@@ -35,8 +35,8 @@ echo "== build bench_eval_tape bench_batch_eval =="
 cmake --build "$build_dir" -j "$(nproc)" \
   --target bench_eval_tape --target bench_batch_eval
 
-# Run metadata pinned into both JSON files (CPU model and SIMD level are
-# detected by the binaries themselves).
+# Run metadata pinned into both JSON files (the CPU model is detected by
+# the binaries themselves).
 git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
 stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 

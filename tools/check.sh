@@ -71,15 +71,12 @@ cmake -S "$repo_root" -B "$bench_dir" -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$bench_dir" -j "$(nproc)" \
   --target bench_eval_tape --target bench_batch_eval --target tape_audit
 "$bench_dir/bench/bench_eval_tape" --quick
-# The batch gate runs twice: once pinned to the portable scalar kernels
-# and once at the best level the CPU dispatches to, so a vectorized-path
-# regression can't hide behind the scalar fallback (or vice versa). Since
-# the payload-row array planes landed, --quick also asserts B=8 *replay*
-# beats the scalar simulator on the two array-bound models (CPUTask,
-# LANSwitch) at both levels, so the array fast paths can't silently rot.
-echo "== bench_batch_eval --quick (STCG_SIMD=scalar) =="
-STCG_SIMD=scalar "$bench_dir/bench/bench_batch_eval" --quick
-echo "== bench_batch_eval --quick (detected SIMD level) =="
+# The batch lanes have one code path (the portable row loops of
+# src/expr/simd_ops.h), so the batch gate runs once. Besides B=8 candidate
+# throughput, --quick asserts B=8 *replay* beats the scalar simulator on
+# the two array-bound models (CPUTask, LANSwitch), so the array fast paths
+# can't silently rot.
+echo "== bench_batch_eval --quick =="
 "$bench_dir/bench/bench_batch_eval" --quick
 # Quick tape-audit smoke in Release too: the producers' own debug-build
 # verification is compiled out here, so the explicit sweep is the gate.
