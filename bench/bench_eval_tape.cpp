@@ -29,7 +29,6 @@
 #include "bench_meta.h"
 #include "benchmodels/benchmodels.h"
 #include "compile/compiler.h"
-#include "compile/model_tape.h"
 #include "coverage/coverage.h"
 #include "expr/builder.h"
 #include "expr/subst.h"
@@ -53,28 +52,11 @@ struct Row {
   double stepsTree = 0, stepsTape = 0;
   double candTree = 0, candRebind = 0, candIncr = 0;
   std::size_t tapeInstrs = 0, maxCone = 0, overlayInstrs = 0;
-  // Pass-pipeline shrink of the simulation ModelTape (instruction count
-  // and dense scalar slot frame, raw build vs optimized).
-  std::size_t simInstrsRaw = 0, simInstrsOpt = 0;
-  std::size_t simSlotsRaw = 0, simSlotsOpt = 0;
-
   [[nodiscard]] double stepSpeedup() const {
     return stepsTree > 0 ? stepsTape / stepsTree : 0;
   }
   [[nodiscard]] double incrSpeedup() const {
     return candTree > 0 ? candIncr / candTree : 0;
-  }
-  [[nodiscard]] double instrShrinkPct() const {
-    return simInstrsRaw > 0
-               ? 100.0 * (1.0 - static_cast<double>(simInstrsOpt) /
-                                    static_cast<double>(simInstrsRaw))
-               : 0;
-  }
-  [[nodiscard]] double slotShrinkPct() const {
-    return simSlotsRaw > 0
-               ? 100.0 * (1.0 - static_cast<double>(simSlotsOpt) /
-                                    static_cast<double>(simSlotsRaw))
-               : 0;
   }
 };
 
@@ -191,16 +173,11 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
         "\"steps_per_sec_tape\": %.0f, \"step_speedup\": %.2f, "
         "\"cand_per_sec_tree\": %.0f, \"cand_per_sec_rebind\": %.0f, "
         "\"cand_per_sec_incremental\": %.0f, \"incr_speedup\": %.2f, "
-        "\"tape_instrs\": %zu, \"max_cone\": %zu, \"overlay_instrs\": %zu, "
-        "\"sim_instrs_raw\": %zu, \"sim_instrs_opt\": %zu, "
-        "\"sim_slots_raw\": %zu, \"sim_slots_opt\": %zu, "
-        "\"instr_shrink_pct\": %.1f, \"slot_shrink_pct\": %.1f}%s\n",
+        "\"tape_instrs\": %zu, \"max_cone\": %zu, "
+        "\"overlay_instrs\": %zu}%s\n",
         r.name.c_str(), r.stepsTree, r.stepsTape, r.stepSpeedup(),
         r.candTree, r.candRebind, r.candIncr, r.incrSpeedup(), r.tapeInstrs,
-        r.maxCone,
-        r.overlayInstrs, r.simInstrsRaw, r.simInstrsOpt, r.simSlotsRaw,
-        r.simSlotsOpt, r.instrShrinkPct(), r.slotShrinkPct(),
-        i + 1 < rows.size() ? "," : "");
+        r.maxCone, r.overlayInstrs, i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -245,12 +222,6 @@ int run(int argc, char** argv) {
     Row row;
     row.name = info.name;
 
-    const compile::ModelTape mt = compile::buildModelTape(cm);
-    row.simInstrsRaw = mt.passStats.instrsBefore;
-    row.simInstrsOpt = mt.passStats.instrsAfter;
-    row.simSlotsRaw = mt.passStats.scalarSlotsBefore;
-    row.simSlotsOpt = mt.passStats.scalarSlotsAfter;
-
     Rng inputRng(42);
     std::vector<sim::InputVector> inputs;
     for (int i = 0; i < 256; ++i) inputs.push_back(sim::randomInput(cm, inputRng));
@@ -294,14 +265,6 @@ int run(int argc, char** argv) {
   std::printf("models with step speedup >= 3x: %d/%zu; incremental "
               "candidate speedup >= 5x: %d/%zu\n",
               stepWins, rows.size(), incrWins, rows.size());
-
-  std::printf("\n%-12s %16s %18s %8s\n", "model", "sim instrs",
-              "sim scalar slots", "shrink");
-  for (const Row& r : rows) {
-    std::printf("%-12s %8zu -> %5zu %9zu -> %6zu %6.1f%%\n", r.name.c_str(),
-                r.simInstrsRaw, r.simInstrsOpt, r.simSlotsRaw, r.simSlotsOpt,
-                r.slotShrinkPct());
-  }
 
   if (!jsonPath.empty()) {
     writeJson(jsonPath, rows, meta);

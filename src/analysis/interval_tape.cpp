@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "expr/tape_verify.h"
 
@@ -13,6 +12,12 @@ using expr::TapeInstr;
 using expr::Type;
 using interval::Interval;
 
+namespace {
+
+/// The interval transfer of one scalar-result tape instruction (every op
+/// except kSelect/kStore/array-kIte, which read array slots), shared by
+/// both executors. Unused operands may be passed as any interval (they
+/// are ignored).
 Interval intervalTransferScalar(Op op, Type type, const Interval& a,
                                 const Interval& b, const Interval& c) {
   switch (op) {
@@ -84,64 +89,15 @@ Interval intervalTransferScalar(Op op, Type type, const Interval& a,
   }
 }
 
-namespace {
-
-bool sameBits(double x, double y) {
-  std::uint64_t bx = 0, by = 0;
-  std::memcpy(&bx, &x, sizeof(bx));
-  std::memcpy(&by, &y, sizeof(by));
-  return bx == by;
-}
-
 }  // namespace
-
-expr::TapePassOptions intervalSafePassOptions() {
-  expr::TapePassOptions opts;
-  opts.intervalSafe = true;
-  opts.foldGuard = [](const TapeInstr& in, const expr::Scalar* a,
-                      const expr::Scalar* b, const expr::Scalar* c,
-                      const expr::Scalar& folded) {
-    if (in.arrayResult || in.op == Op::kSelect || in.op == Op::kStore) {
-      return false;
-    }
-    const auto pt = [](const expr::Scalar* s) {
-      return s != nullptr ? Interval::point(s->toReal()) : Interval::empty();
-    };
-    // The fold replaces the instruction's slot with a constant slot; the
-    // executor's constructor images that as point(folded.toReal()). The
-    // fold is exact iff the transfer on the operands' point images lands
-    // on exactly those bits.
-    const Interval got =
-        intervalTransferScalar(in.op, in.type, pt(a), pt(b), pt(c));
-    const Interval want = Interval::point(folded.toReal());
-    return !got.isEmpty() && sameBits(got.lo(), want.lo()) &&
-           sameBits(got.hi(), want.hi());
-  };
-  return opts;
-}
 
 IntervalTapeBuild buildIntervalTape(const std::vector<expr::ExprPtr>& roots) {
   expr::TapeBuilder b;
   IntervalTapeBuild out;
   out.rootSlots.reserve(roots.size());
   for (const auto& r : roots) out.rootSlots.push_back(b.addRoot(r));
-  out.rawTape = b.finish();
-  expr::maybeRequireVerifiedTape(*out.rawTape, "buildIntervalTape(raw)");
-  if (expr::tapeOptEnabled()) {
-    expr::OptimizedTape opt =
-        expr::optimizeTape(out.rawTape, {}, intervalSafePassOptions());
-    expr::maybeRequireVerifiedTape(*opt.tape, "buildIntervalTape(optimized)");
-    out.tape = std::move(opt.tape);
-    out.stats = opt.stats;
-    for (expr::SlotRef& r : out.rootSlots) r = opt.remap(r);
-  } else {
-    out.tape = out.rawTape;
-    out.stats.instrsBefore = out.stats.instrsAfter = out.tape->code().size();
-    out.stats.scalarSlotsBefore = out.stats.scalarSlotsAfter =
-        out.tape->scalarSlotCount();
-    out.stats.arraySlotsBefore = out.stats.arraySlotsAfter =
-        out.tape->arraySlotCount();
-  }
+  out.tape = b.finish();
+  expr::maybeRequireVerifiedTape(*out.tape, "buildIntervalTape");
   return out;
 }
 
@@ -193,8 +149,7 @@ void IntervalTapeExecutor::run() {
 void IntervalTapeExecutor::exec(const TapeInstr& in) {
   // Per-op transfer functions mirror IntervalEvaluator::scalarRec /
   // arrayRec — results are identical to the tree walk. Pure scalar ops
-  // delegate to intervalTransferScalar (shared with the optimizer's
-  // fold guard); the array-reading ops stay here.
+  // delegate to intervalTransferScalar; the array-reading ops stay here.
   const auto s = [&](std::int32_t slot) -> const Interval& {
     return scalars_[static_cast<std::size_t>(slot)];
   };

@@ -21,36 +21,15 @@
 
 #include "analysis/interval_eval.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 #include "interval/interval.h"
 
 namespace stcg::analysis {
 
-/// The interval transfer of one scalar-result tape instruction (every op
-/// except kSelect/kStore/array-kIte, which read array slots). Exactly the
-/// per-op logic IntervalTapeExecutor::exec applies — exposed so the
-/// optimizer's fold guard can replay a transfer on point operands and
-/// admit only point-exact folds. Unused operands may be passed as any
-/// interval (they are ignored).
-[[nodiscard]] interval::Interval intervalTransferScalar(
-    expr::Op op, expr::Type type, const interval::Interval& a,
-    const interval::Interval& b, const interval::Interval& c);
-
-/// Pass options for tapes consumed by IntervalTapeExecutor: restricts
-/// the pipeline to rewrites exact in the interval domain, with a fold
-/// guard that replays intervalTransferScalar on point operands and
-/// compares bits against the folded constant's interval image.
-[[nodiscard]] expr::TapePassOptions intervalSafePassOptions();
-
-/// Build one CSE-shared tape over `roots` and run the interval-safe
-/// pass pipeline on it (skipped under STCG_TAPE_OPT=0). `roots[i]`'s
-/// slot is `rootSlots[i]` on `tape`; `rawTape` keeps the unoptimized
-/// build as the differential oracle.
+/// Build one CSE-shared tape over `roots`. `roots[i]`'s slot is
+/// `rootSlots[i]` on `tape`.
 struct IntervalTapeBuild {
   std::shared_ptr<const expr::Tape> tape;
-  std::shared_ptr<const expr::Tape> rawTape;
   std::vector<expr::SlotRef> rootSlots;
-  expr::TapePassStats stats;
 };
 
 [[nodiscard]] IntervalTapeBuild buildIntervalTape(
@@ -92,7 +71,7 @@ class IntervalTapeExecutor {
 /// The sub-box refutation layer of analysis::proveConstraintDeadFrom binds
 /// one candidate sub-box per lane and refutes all of them in one sweep;
 /// each lane's result is identical to IntervalTapeExecutor under that
-/// lane's environment (both delegate to intervalTransferScalar).
+/// lane's environment (both apply the same per-op transfers).
 class BatchIntervalTapeExecutor {
  public:
   /// `lanes` is clamped to >= 1. The tape is shared, never copied.

@@ -1,6 +1,5 @@
 #include "compile/model_tape.h"
 
-#include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
 
 namespace stcg::compile {
@@ -38,33 +37,8 @@ ModelTape buildModelTape(const CompiledModel& cm) {
   mt.stateNext.reserve(cm.states.size());
   for (const auto& sv : cm.states) mt.stateNext.push_back(b.addRoot(sv.next));
 
-  mt.rawTape = b.finish();
-  expr::maybeRequireVerifiedTape(*mt.rawTape, "buildModelTape(raw)");
-
-  if (expr::tapeOptEnabled()) {
-    expr::OptimizedTape opt = expr::optimizeTape(mt.rawTape);
-    expr::maybeRequireVerifiedTape(*opt.tape, "buildModelTape(optimized)");
-    mt.tape = std::move(opt.tape);
-    mt.passStats = opt.stats;
-    const auto remapAll = [&](std::vector<expr::SlotRef>& refs) {
-      for (expr::SlotRef& r : refs) r = opt.remap(r);
-    };
-    remapAll(mt.decisionActivations);
-    for (auto& arms : mt.decisionArms) remapAll(arms);
-    for (auto& conds : mt.decisionConditions) remapAll(conds);
-    remapAll(mt.objectiveActivations);
-    remapAll(mt.objectiveConds);
-    remapAll(mt.outputs);
-    remapAll(mt.stateNext);
-  } else {
-    mt.tape = mt.rawTape;
-    mt.passStats.instrsBefore = mt.passStats.instrsAfter =
-        mt.rawTape->code().size();
-    mt.passStats.scalarSlotsBefore = mt.passStats.scalarSlotsAfter =
-        mt.rawTape->scalarSlotCount();
-    mt.passStats.arraySlotsBefore = mt.passStats.arraySlotsAfter =
-        mt.rawTape->arraySlotCount();
-  }
+  mt.tape = b.finish();
+  expr::maybeRequireVerifiedTape(*mt.tape, "buildModelTape");
   return mt;
 }
 

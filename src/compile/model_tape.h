@@ -13,21 +13,14 @@
 
 #include "compile/compiled_model.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 
 namespace stcg::compile {
 
 /// Slot map for one CompiledModel. Indices parallel the model's own
-/// decision/objective/output/state vectors.
-///
-/// `tape` is the pass-pipeline-optimized tape all engines execute (the
-/// SlotRefs below index it); `rawTape` keeps the unoptimized build as
-/// the differential oracle, and `passStats` reports the shrink. With
-/// STCG_TAPE_OPT=0 both point at the raw tape.
+/// decision/objective/output/state vectors; `tape` is the tape every
+/// engine executes and the SlotRefs below index it.
 struct ModelTape {
   std::shared_ptr<const expr::Tape> tape;
-  std::shared_ptr<const expr::Tape> rawTape;
-  expr::TapePassStats passStats;
 
   std::vector<expr::SlotRef> decisionActivations;
   std::vector<std::vector<expr::SlotRef>> decisionArms;

@@ -50,12 +50,9 @@ BatchTapeExecutor::BatchTapeExecutor(std::shared_ptr<const Tape> tape,
   const auto B = static_cast<std::size_t>(lanes_);
 
   // Static slot typing, shared with the verifier (analyzeTapeStaticTypes;
-  // see its doc for the per-op derivation).
-  // Consuming the per-slot summary in place of a per-program-point walk
-  // is sound because array slots are never shared by the optimizer
-  // (tape_passes.cpp: "arrays never share") and shared scalar slots only
-  // merge writers that agree on (static type, dynamic) — the verifier's
-  // checkTape enforces both invariants.
+  // see its doc for the per-op derivation). A per-slot summary suffices
+  // because tapes are single-assignment (the verifier rejects a second
+  // writer).
   {
     TapeStaticTypes st0 = analyzeTapeStaticTypes(*tape_);
     slotType_ = std::move(st0.scalarType);
@@ -233,8 +230,7 @@ BatchTapeExecutor::BatchTapeExecutor(std::shared_ptr<const Tape> tape,
   // partial cone replay — (b) is not a root (the only slots callers may
   // read after run()), and (c) has no later reader. The stale buffer the
   // swap leaves in the dead slot is overwritten by that slot's defining
-  // instruction on the next run before anything reads it. Per-slot (not
-  // per-live-range) liveness is conservative under optimizer slot reuse.
+  // instruction on the next run before anything reads it.
   arrMove_.assign(code.size(), 0);
   {
     std::vector<std::int32_t> lastRead(na, -1);

@@ -54,9 +54,8 @@ std::uint64_t instrKey(const TapeInstr& in) {
 void Tape::recomputeCones() {
   // Dirty cones: propagate per-slot variable-dependency bitsets through
   // the (topologically ordered) code, then invert into per-variable
-  // ascending instruction lists. Exact for single-assignment tapes and
-  // for pass-pipeline tapes whose shared slots have equal-dependency
-  // writers (the only sharing the linear-scan reallocator performs).
+  // ascending instruction lists. Exact for single-assignment tapes (the
+  // only kind the verifier accepts).
   cones_.clear();
   maxConeSize_ = 0;
   std::vector<VarId> vars;

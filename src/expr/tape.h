@@ -131,7 +131,7 @@ class Tape {
   /// variable / nothing depends on it.
   [[nodiscard]] const std::vector<std::int32_t>* coneOf(VarId var) const;
 
-  /// Every dirty cone, sorted by VarId (verifier / pass-pipeline input).
+  /// Every dirty cone, sorted by VarId (verifier input).
   [[nodiscard]] const std::vector<std::pair<VarId, std::vector<std::int32_t>>>&
   cones() const {
     return cones_;
@@ -141,9 +141,7 @@ class Tape {
   [[nodiscard]] std::size_t maxConeSize() const { return maxConeSize_; }
 
   /// Slots handed out by TapeBuilder::addRoot, in call order (duplicates
-  /// kept). These are the externally visible reads the optimizer must
-  /// keep live; producers with extra out-of-tape reads (the distance
-  /// overlay) pass those separately.
+  /// kept): the tape's externally visible reads.
   [[nodiscard]] const std::vector<SlotRef>& rootSlots() const {
     return rootSlots_;
   }
@@ -153,8 +151,8 @@ class Tape {
   friend class TapeRewriter;
 
   /// Re-derive cones_ / maxConeSize_ from code_ and the bindings (the
-  /// algorithm TapeBuilder::finish runs; the pass pipeline reruns it
-  /// after rewriting the code).
+  /// algorithm TapeBuilder::finish runs; TapeRewriter reruns it after
+  /// a rewrite).
   void recomputeCones();
 
   std::vector<TapeInstr> code_;
@@ -173,8 +171,29 @@ class Tape {
   std::vector<ExprPtr> pinnedRoots_;
 };
 
+/// Mutable access to a Tape's internals for tests that corrupt tapes to
+/// exercise the verifier. Rewriting a tape executors already hold is
+/// undefined; rewrite before sharing.
+class TapeRewriter {
+ public:
+  explicit TapeRewriter(Tape& t) : t_(t) {}
+
+  [[nodiscard]] std::vector<TapeInstr>& code() { return t_.code_; }
+  [[nodiscard]] std::vector<Scalar>& scalarInit() { return t_.scalarInit_; }
+  [[nodiscard]] std::vector<SlotRef>& rootSlots() { return t_.rootSlots_; }
+  [[nodiscard]] std::vector<std::pair<VarId, std::vector<std::int32_t>>>&
+  cones() {
+    return t_.cones_;
+  }
+
+  void recomputeCones() { t_.recomputeCones(); }
+
+ private:
+  Tape& t_;
+};
+
 /// Visit each operand slot of `in` as fn(slot, isArray). Shared by the
-/// cone computation, the verifier and the optimizer passes.
+/// cone computation and the verifier.
 template <typename Fn>
 void forEachTapeOperand(const TapeInstr& in, Fn&& fn) {
   switch (in.op) {

@@ -1,8 +1,6 @@
 #include "expr/tape_verify.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #include "util/env.h"
@@ -29,9 +27,6 @@ struct DepSets {
 
   [[nodiscard]] const std::uint64_t* instrAt(std::size_t idx) const {
     return instr.data() + idx * words;
-  }
-  [[nodiscard]] bool sameInstrDeps(std::size_t i, std::size_t j) const {
-    return std::equal(instrAt(i), instrAt(i) + words, instrAt(j));
   }
 };
 
@@ -120,7 +115,8 @@ class Verifier {
     checkCodeShape();
     checkDefUseAndTypes();
     checkRoots();
-    checkConesAndSharing();
+    checkCones();
+    checkSingleWriter();
     checkCseDuplicates();
     return std::move(result_);
   }
@@ -238,7 +234,7 @@ class Verifier {
   void checkDefUseAndTypes() {
     // One forward pass: def-before-use, const/var clobbers, and the
     // typed-lane contract (result types as the batch executor derives
-    // them, with multi-writer slots required to agree).
+    // them).
     std::vector<std::uint8_t> sDef(t_.scalarSlotCount(), 0);
     std::vector<std::uint8_t> aDef(t_.arraySlotCount(), 0);
     std::vector<std::uint8_t> sPinned(t_.scalarSlotCount(), 0);
@@ -267,18 +263,6 @@ class Verifier {
         aPinned[static_cast<std::size_t>(b.slot)] = 1;
       }
     }
-
-    const TapeStaticTypes st = analyzeTapeStaticTypes(t_);
-    // First-writer derived (type, dynamic) per scalar slot, for the
-    // multi-writer agreement check.
-    std::vector<std::int8_t> seenType(t_.scalarSlotCount(), -1);
-    std::vector<std::uint8_t> seenDyn(t_.scalarSlotCount(), 0);
-    // Likewise per array slot: (statically uniform?, element type). The
-    // batch executor's payload planes fix this summary at construction,
-    // so writers sharing an array slot must agree on it. The optimizer
-    // never shares array slots; this fires only on hand-built tapes.
-    std::vector<std::int8_t> seenAUni(t_.arraySlotCount(), -1);
-    std::vector<std::int8_t> seenAElem(t_.arraySlotCount(), 0);
 
     const auto& code = t_.code();
     for (std::size_t i = 0; i < code.size(); ++i) {
@@ -333,86 +317,13 @@ class Verifier {
       const std::int32_t dstMax = in.arrayResult ? nArray() : nScalar();
       if (in.dst >= 0 && in.dst < dstMax) {
         const auto d = static_cast<std::size_t>(in.dst);
-        if (in.arrayResult) {
-          if (aPinned[d] != 0) {
-            issue(TapeIssueKind::kConstClobbered, idx,
-                  "instruction overwrites constant/variable array slot " +
-                      std::to_string(in.dst));
-          }
-          // Re-derive this writer's (uniform, element type) contribution
-          // from its operands' summaries, mirroring analyzeTapeStaticTypes.
-          bool myUni = false;
-          Type myElem = in.type;
-          if (in.op == Op::kStore) {
-            const auto a = static_cast<std::size_t>(in.a);
-            myUni = in.a >= 0 && in.a < nArray() &&
-                    st.arrayUniform[a] != 0 && st.arrayElemType[a] == in.type;
-          } else if (in.op == Op::kIte && in.b >= 0 && in.b < nArray() &&
-                     in.c >= 0 && in.c < nArray()) {
-            const auto tb = static_cast<std::size_t>(in.b);
-            const auto fc = static_cast<std::size_t>(in.c);
-            myUni = st.arrayUniform[tb] != 0 && st.arrayUniform[fc] != 0 &&
-                    st.arrayElemType[tb] == st.arrayElemType[fc];
-            myElem = st.arrayElemType[tb];
-          }
-          if (seenAUni[d] < 0) {
-            seenAUni[d] = myUni ? 1 : 0;
-            seenAElem[d] = static_cast<std::int8_t>(myElem);
-          } else if ((seenAUni[d] != 0) != myUni ||
-                     (myUni && static_cast<Type>(seenAElem[d]) != myElem)) {
-            issue(TapeIssueKind::kTypeMismatch, idx,
-                  "writers of shared array slot " + std::to_string(in.dst) +
-                      " disagree on its static element type");
-          }
-          aDef[d] = 1;
-        } else {
-          if (sPinned[d] != 0) {
-            issue(TapeIssueKind::kConstClobbered, idx,
-                  "instruction overwrites constant/variable slot " +
-                      std::to_string(in.dst));
-          }
-          // Multi-writer slots must agree on the static lane type the
-          // batch executor fixes at construction.
-          const Type derived = st.scalarType[d];
-          const bool dyn = st.scalarDynamic[d] != 0;
-          // analyzeTapeStaticTypes is last-writer-wins; re-derive this
-          // writer's contribution to compare across writers.
-          Type mine = in.type;
-          bool myDyn = false;
-          switch (in.op) {
-            case Op::kNot:
-              mine = Type::kBool;
-              break;
-            case Op::kNeg:
-            case Op::kAbs:
-              mine = in.type == Type::kReal ? Type::kReal : Type::kInt;
-              break;
-            case Op::kSelect: {
-              const auto a = static_cast<std::size_t>(in.a);
-              if (in.a >= 0 && in.a < nArray() && st.arrayUniform[a] != 0) {
-                mine = st.arrayElemType[a];
-              } else {
-                myDyn = true;
-                mine = in.type;
-              }
-              break;
-            }
-            default:
-              break;
-          }
-          if (seenType[d] < 0) {
-            seenType[d] = static_cast<std::int8_t>(mine);
-            seenDyn[d] = myDyn ? 1 : 0;
-          } else if (static_cast<Type>(seenType[d]) != mine ||
-                     (seenDyn[d] != 0) != myDyn) {
-            issue(TapeIssueKind::kTypeMismatch, idx,
-                  "writers of shared slot " + std::to_string(in.dst) +
-                      " disagree on its static lane type");
-          }
-          (void)derived;
-          (void)dyn;
-          sDef[d] = 1;
+        if ((in.arrayResult ? aPinned : sPinned)[d] != 0) {
+          issue(TapeIssueKind::kConstClobbered, idx,
+                std::string("instruction overwrites constant/variable ") +
+                    (in.arrayResult ? "array slot " : "slot ") +
+                    std::to_string(in.dst));
         }
+        (in.arrayResult ? aDef : sDef)[d] = 1;
       }
     }
   }
@@ -462,7 +373,7 @@ class Verifier {
     }
   }
 
-  void checkConesAndSharing() {
+  void checkCones() {
     const DepSets d = computeDepSets(t_);
 
     // Cone exactness: re-derive the per-variable instruction lists from
@@ -502,81 +413,39 @@ class Verifier {
                   std::to_string(expect[i].size()));
       }
     }
+  }
 
-    // Cone-coherent slot sharing. Collect writers/readers per scalar
-    // slot in instruction order, then enforce: (a) all writers of a
-    // shared slot carry the same (accumulated) dependency set, (b) every
-    // read whose most recent writer is not the slot's final writer has
-    // exactly the writers' dependency set — otherwise an incremental
-    // cone replay can observe the wrong writer's value. Array slots are
-    // never shared (executors alias array operands in place).
+  void checkSingleWriter() {
+    // Tapes are single-assignment: every slot has at most one writing
+    // instruction. The executors, the dirty-cone replay and the static
+    // lane typing all rely on it (a second writer would make a cone
+    // replay observe the wrong value and a slot's static type ambiguous).
+    std::vector<std::int32_t> sWriter(t_.scalarSlotCount(), -1);
+    std::vector<std::int32_t> aWriter(t_.arraySlotCount(), -1);
     const auto& code = t_.code();
-    std::vector<std::vector<std::int32_t>> writers(t_.scalarSlotCount());
-    std::vector<std::int32_t> arrayWriters(t_.arraySlotCount(), -1);
     for (std::size_t i = 0; i < code.size(); ++i) {
       const TapeInstr& in = code[i];
-      if (in.arrayResult) {
-        if (in.dst < 0 || in.dst >= nArray()) continue;
-        auto& w = arrayWriters[static_cast<std::size_t>(in.dst)];
-        if (w >= 0) {
-          issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
-                "array slot " + std::to_string(in.dst) +
-                    " written twice (instr " + std::to_string(w) +
-                    "); executors alias arrays in place");
-        }
-        w = static_cast<std::int32_t>(i);
-      } else if (in.dst >= 0 && in.dst < nScalar() && !isLeafOp(in.op)) {
-        writers[static_cast<std::size_t>(in.dst)].push_back(
-            static_cast<std::int32_t>(i));
+      if (isLeafOp(in.op)) continue;  // reported by checkCodeShape
+      const std::int32_t max = in.arrayResult ? nArray() : nScalar();
+      if (in.dst < 0 || in.dst >= max) continue;
+      auto& w = (in.arrayResult ? aWriter : sWriter)[static_cast<std::size_t>(
+          in.dst)];
+      if (w >= 0) {
+        issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
+              std::string(in.arrayResult ? "array slot " : "slot ") +
+                  std::to_string(in.dst) + " already written by instruction " +
+                  std::to_string(w) + "; tapes are single-assignment");
+        continue;
       }
-    }
-    for (std::size_t s = 0; s < writers.size(); ++s) {
-      const auto& w = writers[s];
-      if (w.size() < 2) continue;
-      for (std::size_t k = 1; k < w.size(); ++k) {
-        if (!d.sameInstrDeps(static_cast<std::size_t>(w[0]),
-                             static_cast<std::size_t>(w[k]))) {
-          issue(TapeIssueKind::kUnsafeSharing, w[k],
-                "writers of shared slot " + std::to_string(s) +
-                    " have different variable-dependency sets");
-        }
-      }
-    }
-    for (std::size_t i = 0; i < code.size(); ++i) {
-      forEachTapeOperand(code[i], [&](std::int32_t slot, bool isArray) {
-        if (isArray || slot < 0 || slot >= nScalar()) return;
-        const auto& w = writers[static_cast<std::size_t>(slot)];
-        if (w.size() < 2) return;
-        if (static_cast<std::int32_t>(i) > w.back()) return;  // final writer
-        // Reader of a non-final writer: must replay exactly with the
-        // class (equal dependency sets), or a cone that includes the
-        // reader but not the writers re-reads a later writer's value.
-        // lower_bound: an instruction that reads and rewrites the slot
-        // reads the *previous* writer's value.
-        const auto lastW = std::lower_bound(w.begin(), w.end(),
-                                            static_cast<std::int32_t>(i)) -
-                           w.begin();
-        if (lastW == 0) return;  // use-before-def, reported already
-        if (w[static_cast<std::size_t>(lastW - 1)] == w.back()) return;
-        if (!d.sameInstrDeps(i, static_cast<std::size_t>(w[0]))) {
-          issue(TapeIssueKind::kUnsafeSharing, static_cast<std::int32_t>(i),
-                "read of shared slot " + std::to_string(slot) +
-                    " before its final writer has a different "
-                    "variable-dependency set than the writers");
-        }
-      });
+      w = static_cast<std::int32_t>(i);
     }
   }
 
   void checkCseDuplicates() {
-    // Value numbering with slot versions: operands compare equal only
-    // when they name the same write of the same slot (shared slots are
-    // multi-version, so textual identity alone is not redundancy).
-    std::vector<std::int32_t> sVer(t_.scalarSlotCount(), 0);
-    std::vector<std::int32_t> aVer(t_.arraySlotCount(), 0);
+    // Value numbering: on a single-assignment tape two pure instructions
+    // with the same op, type and operand slots compute the same value.
     struct Seen {
       TapeInstr in;
-      std::int32_t va = 0, vb = 0, vc = 0;
       std::int32_t idx = 0;
     };
     std::unordered_map<std::uint64_t, std::vector<Seen>> buckets;
@@ -584,45 +453,22 @@ class Verifier {
     for (std::size_t i = 0; i < code.size(); ++i) {
       const TapeInstr& in = code[i];
       if (isLeafOp(in.op)) continue;
-      std::int32_t ver[3] = {0, 0, 0};
-      int n = 0;
-      forEachTapeOperand(in, [&](std::int32_t slot, bool isArray) {
-        const std::int32_t max = isArray ? nArray() : nScalar();
-        if (n < 3) {
-          ver[n++] = (slot >= 0 && slot < max)
-                         ? (isArray ? aVer : sVer)[static_cast<std::size_t>(
-                               slot)]
-                         : -1;
-        }
-      });
       std::uint64_t h = mixBits(static_cast<std::uint64_t>(in.op),
                                 static_cast<std::uint64_t>(in.type));
-      h = mixBits(h, static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(in.a)));
-      h = mixBits(h, static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(in.b)));
-      h = mixBits(h, static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(in.c)));
-      for (int k = 0; k < 3; ++k) {
-        h = mixBits(h, static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(ver[k])));
+      h = mixBits(h, in.arrayResult ? 1U : 0U);
+      for (const std::int32_t x : {in.a, in.b, in.c}) {
+        h = mixBits(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(x)));
       }
       auto& bucket = buckets[h];
       for (const Seen& s : bucket) {
-        if (sameTapeComputation(s.in, in) && s.va == ver[0] &&
-            s.vb == ver[1] && s.vc == ver[2]) {
+        if (sameTapeComputation(s.in, in)) {
           issue(TapeIssueKind::kCseDuplicate, static_cast<std::int32_t>(i),
                 std::string(opName(in.op)) + " duplicates instruction " +
                     std::to_string(s.idx) + " over identical operands");
           break;
         }
       }
-      bucket.push_back({in, ver[0], ver[1], ver[2],
-                        static_cast<std::int32_t>(i)});
-      const std::int32_t dstMax = in.arrayResult ? nArray() : nScalar();
-      if (in.dst >= 0 && in.dst < dstMax) {
-        ++(in.arrayResult ? aVer : sVer)[static_cast<std::size_t>(in.dst)];
-      }
+      bucket.push_back({in, static_cast<std::int32_t>(i)});
     }
   }
 
@@ -676,11 +522,12 @@ std::string TapeVerifyResult::render() const {
 }
 
 TapeStaticTypes analyzeTapeStaticTypes(const Tape& t) {
-  // Mirrors the derivation in BatchTapeExecutor's constructor: constants
-  // carry their own type, variable slots the binding's coercion type,
-  // and instruction results follow from applyUnary/applyBinary. The one
-  // dynamic case is kSelect over an array without a statically uniform
-  // element type (var-bound arrays keep elements uncast).
+  // Constants carry their own type, variable slots the binding's
+  // coercion type, and instruction results follow from
+  // applyUnary/applyBinary; each slot has one writer, so one forward
+  // pass fixes every type. The one dynamic case is kSelect over an array
+  // without a statically uniform element type (var-bound arrays keep
+  // elements uncast).
   TapeStaticTypes st;
   const std::size_t ns = t.scalarSlotCount();
   const std::size_t na = t.arraySlotCount();
@@ -735,8 +582,6 @@ TapeStaticTypes analyzeTapeStaticTypes(const Tape& t) {
                   ? 1
                   : 0;
           st.arrayElemType[dst] = st.arrayElemType[tb];
-        } else {
-          st.arrayUniform[dst] = 0;
         }
       }
       continue;

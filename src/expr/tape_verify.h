@@ -7,11 +7,10 @@
 // obeys the applyUnary/applyBinary contract the batch executor's typed
 // lane kernels assume, every root names a defined slot, each variable's
 // dirty cone is exactly the instructions transitively reading it, and
-// physical slot sharing (introduced by the optimizer's linear-scan
-// reallocation) is cone-coherent. Until now those invariants were only
-// exercised dynamically by differential fuzz; verifyTape() proves them
-// statically, with one typed finding per violation, so a corrupted or
-// mis-optimized tape is rejected before an executor ever runs it.
+// every slot has at most one writer (tapes are single-assignment).
+// verifyTape() proves them statically, with one typed finding per
+// violation, so a corrupted tape is rejected before an executor ever
+// runs it.
 //
 // Findings carry stable kebab-case ids (tapeIssueCheckId) surfaced
 // through `stcg_cli lint --tape`. requireVerifiedTape() throws EvalError
@@ -35,7 +34,7 @@ enum class TapeIssueKind {
   kTypeMismatch,    // result type breaks the typed-lane contract
   kRootUndefined,   // root slot invalid or never defined
   kStaleCone,       // recorded cones differ from the recomputed ones
-  kUnsafeSharing,   // multi-writer slot violating cone coherence
+  kUnsafeSharing,   // slot written by more than one instruction
   kCseDuplicate,    // two live pure instructions with identical operands
 };
 
@@ -43,7 +42,7 @@ enum class TapeIssueKind {
 [[nodiscard]] const char* tapeIssueCheckId(TapeIssueKind k);
 
 /// True for kinds that make execution unsound; kCseDuplicate is a missed
-/// optimization, not a soundness hole.
+/// builder CSE, not a soundness hole.
 [[nodiscard]] bool tapeIssueIsError(TapeIssueKind k);
 
 struct TapeIssue {
@@ -64,10 +63,8 @@ struct TapeVerifyResult {
 /// The static type model of BatchTapeExecutor's lane layout: per scalar
 /// slot its compile-time payload type (or "dynamic" for kSelect results
 /// over arrays without a statically uniform element type), per array slot
-/// whether its element type is statically uniform. The verifier checks
-/// tapes against this model; the optimizer uses it to keep rewrites
-/// representation-preserving. Multi-writer slots are well-defined only on
-/// tapes where all writers agree (which the verifier checks).
+/// whether its element type is statically uniform — each slot's one
+/// writer fixes its entry.
 struct TapeStaticTypes {
   std::vector<Type> scalarType;
   std::vector<std::uint8_t> scalarDynamic;  // 1 = per-lane type may vary
@@ -89,7 +86,7 @@ void requireVerifiedTape(const Tape& t, const char* what);
 [[nodiscard]] bool tapeVerifyEnabled();
 
 /// requireVerifiedTape gated on tapeVerifyEnabled() — what every tape
-/// producer calls on each tape it builds or optimizes.
+/// producer calls on each tape it builds.
 void maybeRequireVerifiedTape(const Tape& t, const char* what);
 
 }  // namespace stcg::expr

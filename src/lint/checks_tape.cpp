@@ -1,22 +1,20 @@
-// Tape-layer lint checks: run the static tape verifier over every tape
-// the engines would execute for this model — the simulation ModelTape,
-// the interval tape over the next-state roots, and one distance tape per
-// branch path constraint — on both the raw build and the pass-pipeline
-// output. Each verifier finding surfaces as a diagnostic under its
-// stable check id (expr::tapeIssueCheckId); a per-family "tape-shrink"
-// note reports the optimizer's instruction/slot reduction.
+// Tape-layer lint checks: run the static tape verifier once over every
+// tape the engines would execute for this model — the simulation
+// ModelTape, the interval tape over the next-state roots, and one
+// distance tape per branch path constraint. Each verifier finding
+// surfaces as a diagnostic under its stable check id
+// (expr::tapeIssueCheckId).
 //
 // On a well-formed model every tape verifies clean: an error here means
-// the tape builder or the optimizer violated an engine invariant, not
-// that the model is wrong — which is exactly why it is worth a lint
-// gate in front of long generation runs.
+// the tape builder violated an engine invariant, not that the model is
+// wrong — which is exactly why it is worth a lint gate in front of long
+// generation runs.
 
 #include <string>
 
 #include "analysis/interval_tape.h"
 #include "compile/model_tape.h"
 #include "expr/eval.h"
-#include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
 #include "lint/lint.h"
 #include "solver/distance_tape.h"
@@ -43,38 +41,13 @@ void reportIssues(const expr::TapeVerifyResult& res,
   }
 }
 
-void reportShrink(const expr::TapePassStats& stats,
-                  const std::string& location, DiagnosticSink& sink) {
-  sink.report(Severity::kNote, "tape-shrink", location, stats.summary());
-}
-
-/// Verify a raw/optimized tape pair and report the shrink.
-void checkPair(const expr::Tape& raw, const expr::Tape& optimized,
-               const expr::TapePassStats& stats, const std::string& location,
-               DiagnosticSink& sink) {
-  reportIssues(expr::verifyTape(raw), location + " (raw)", sink);
-  reportIssues(expr::verifyTape(optimized), location, sink);
-  reportShrink(stats, location, sink);
-}
-
-/// The distance tapes have no public producer struct: replicate the
-/// DistanceTape constructor's build (value tape + overlay, overlay
-/// operand slots pinned live through the optimizer) for one goal.
+/// Build one goal's distance value tape the way the DistanceTape
+/// constructor does (value DAG plus overlay operands) and verify it.
 void checkDistanceTape(const expr::ExprPtr& goal, const std::string& location,
                        DiagnosticSink& sink) {
   expr::TapeBuilder b;
-  const solver::DistanceProgram prog = solver::buildDistanceProgram(goal, b);
-  const std::shared_ptr<const expr::Tape> raw = b.finish();
-  reportIssues(expr::verifyTape(*raw), location + " (raw)", sink);
-  if (!expr::tapeOptEnabled()) return;
-  std::vector<expr::SlotRef> extraLive;
-  for (const auto& in : prog.code) {
-    if (in.va >= 0) extraLive.push_back({in.va, false});
-    if (in.vb >= 0) extraLive.push_back({in.vb, false});
-  }
-  const expr::OptimizedTape opt = expr::optimizeTape(raw, extraLive);
-  reportIssues(expr::verifyTape(*opt.tape), location, sink);
-  reportShrink(opt.stats, location, sink);
+  (void)solver::buildDistanceProgram(goal, b);
+  reportIssues(expr::verifyTape(*b.finish()), location, sink);
 }
 
 }  // namespace
@@ -83,7 +56,7 @@ void runTapeChecks(const CompiledModel& cm, DiagnosticSink& sink) {
   try {
     // Simulation tape: every root the simulator reads per step.
     const compile::ModelTape mt = compile::buildModelTape(cm);
-    checkPair(*mt.rawTape, *mt.tape, mt.passStats, "tape 'sim'", sink);
+    reportIssues(expr::verifyTape(*mt.tape), "tape 'sim'", sink);
 
     // Interval tape: the reachability fixpoint's next-state roots.
     if (!cm.states.empty()) {
@@ -92,8 +65,7 @@ void runTapeChecks(const CompiledModel& cm, DiagnosticSink& sink) {
       for (const auto& sv : cm.states) nextRoots.push_back(sv.next);
       const analysis::IntervalTapeBuild built =
           analysis::buildIntervalTape(nextRoots);
-      checkPair(*built.rawTape, *built.tape, built.stats, "tape 'interval'",
-                sink);
+      reportIssues(expr::verifyTape(*built.tape), "tape 'interval'", sink);
     }
 
     // Distance tapes: one per branch path constraint (what the local

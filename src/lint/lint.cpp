@@ -51,13 +51,11 @@ const std::vector<CheckInfo>& allChecks() {
       {"tape-stale-cone", Severity::kError,
        "recorded dirty cones differ from the recomputed dependency cones"},
       {"tape-unsafe-sharing", Severity::kError,
-       "physical slot shared across incoherent dependency cones"},
+       "tape slot written by more than one instruction"},
       {"tape-cse-duplicate", Severity::kWarning,
        "two live pure tape instructions compute the same value"},
       {"tape-internal-error", Severity::kError,
        "tape construction or producer-side verification threw"},
-      {"tape-shrink", Severity::kNote,
-       "pass-pipeline instruction/slot reduction for one compiled tape"},
   };
   return kChecks;
 }

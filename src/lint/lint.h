@@ -43,9 +43,8 @@ struct LintOptions {
   bool reachabilityChecks = true;
   analysis::ReachabilityOptions reach{};
   /// Run the tape-layer checks: static verification (expr::verifyTape)
-  /// of every tape the engines would execute — sim, interval, distance —
-  /// raw and optimized, plus per-tape shrink notes. Off by default: the
-  /// findings judge the tape pipeline, not the model.
+  /// of every tape the engines would execute — sim, interval, distance.
+  /// Off by default: the findings judge the tape builder, not the model.
   bool tapeChecks = false;
 };
 
@@ -86,9 +85,8 @@ void runCompiledChecks(const compile::CompiledModel& cm,
                        const LintOptions& opt, LintResult& out);
 
 /// Tape-layer checks only: build and statically verify the model's sim,
-/// interval and distance tapes (raw and pass-pipeline-optimized), report
-/// each verifier finding under its stable check id, and emit one
-/// "tape-shrink" note per tape.
+/// interval and distance tapes and report each verifier finding under its
+/// stable check id.
 void runTapeChecks(const compile::CompiledModel& cm, DiagnosticSink& sink);
 
 /// The generator entry point: prove coverage goals unreachable and return

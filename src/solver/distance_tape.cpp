@@ -18,11 +18,10 @@ using expr::ExprPtr;
 using expr::Op;
 using expr::Type;
 
-/// A goal's optimized value tape with its remapped overlay program.
+/// A goal's value tape with its overlay program.
 struct BuiltDistance {
   DistanceProgram prog;
   std::shared_ptr<const expr::Tape> tape;
-  expr::TapePassStats stats;
 };
 
 namespace {
@@ -216,39 +215,13 @@ double overlayStep(const DistanceProgram::Instr& in, const DistView& dist,
   return 0.0;
 }
 
-/// Build the value tape + overlay for `goal`, run the (concrete-mode)
-/// pass pipeline on the value tape, and remap the overlay's interior
-/// value reads. The overlay's va/vb slots are out-of-tape reads, so they
-/// ride through optimizeTape as extraLive slots — kept live by DCE and
-/// never freed by the slot allocator.
-BuiltDistance buildOptimizedDistance(const ExprPtr& goal) {
+/// Build the value tape + overlay for `goal`.
+BuiltDistance buildDistance(const ExprPtr& goal) {
   expr::TapeBuilder b;
   BuiltDistance out;
   out.prog = buildDistanceProgram(goal, b);
-  std::shared_ptr<const expr::Tape> raw = b.finish();
-  expr::maybeRequireVerifiedTape(*raw, "DistanceTape(raw)");
-  if (!expr::tapeOptEnabled()) {
-    out.tape = std::move(raw);
-    out.stats.instrsBefore = out.stats.instrsAfter = out.tape->code().size();
-    out.stats.scalarSlotsBefore = out.stats.scalarSlotsAfter =
-        out.tape->scalarSlotCount();
-    out.stats.arraySlotsBefore = out.stats.arraySlotsAfter =
-        out.tape->arraySlotCount();
-    return out;
-  }
-  std::vector<expr::SlotRef> extra;
-  for (const DistanceProgram::Instr& in : out.prog.code) {
-    if (in.va >= 0) extra.push_back({in.va, false});
-    if (in.vb >= 0) extra.push_back({in.vb, false});
-  }
-  expr::OptimizedTape opt = expr::optimizeTape(raw, extra);
-  expr::maybeRequireVerifiedTape(*opt.tape, "DistanceTape(optimized)");
-  for (DistanceProgram::Instr& in : out.prog.code) {
-    if (in.va >= 0) in.va = opt.remap({in.va, false}).slot;
-    if (in.vb >= 0) in.vb = opt.remap({in.vb, false}).slot;
-  }
-  out.tape = std::move(opt.tape);
-  out.stats = opt.stats;
+  out.tape = b.finish();
+  expr::maybeRequireVerifiedTape(*out.tape, "DistanceTape");
   return out;
 }
 
@@ -265,14 +238,13 @@ DistanceProgram buildDistanceProgram(const ExprPtr& goal,
 
 DistanceTape::DistanceTape(const ExprPtr& goal,
                            const std::vector<expr::VarInfo>& vars)
-    : DistanceTape(buildOptimizedDistance(goal), vars) {}
+    : DistanceTape(buildDistance(goal), vars) {}
 
 DistanceTape::DistanceTape(BuiltDistance built,
                            const std::vector<expr::VarInfo>& vars)
     : vars_(vars),
       exec_(std::move(built.tape)),
       prog_(std::move(built.prog)),
-      passStats_(built.stats),
       dist_(prog_.init) {}
 
 double DistanceTape::runOverlay() {
@@ -311,7 +283,7 @@ BatchDistanceTape::BatchDistanceTape(const ExprPtr& goal,
                                      const std::vector<expr::VarInfo>& vars,
                                      int lanes)
     : vars_(vars) {
-  BuiltDistance built = buildOptimizedDistance(goal);
+  BuiltDistance built = buildDistance(goal);
   prog_ = std::move(built.prog);
   exec_.emplace(std::move(built.tape), lanes);
   const auto B = static_cast<std::size_t>(exec_->lanes());

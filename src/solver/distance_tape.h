@@ -33,7 +33,6 @@
 #include "expr/batch_tape.h"
 #include "expr/expr.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 
 namespace stcg::solver {
 
@@ -62,7 +61,7 @@ struct DistanceProgram {
 [[nodiscard]] DistanceProgram buildDistanceProgram(const expr::ExprPtr& goal,
                                                    expr::TapeBuilder& b);
 
-/// Optimized value tape + remapped overlay for one goal (distance_tape.cpp).
+/// Value tape + overlay for one goal (distance_tape.cpp).
 struct BuiltDistance;
 
 class DistanceTape {
@@ -91,11 +90,6 @@ class DistanceTape {
   [[nodiscard]] std::size_t maxConeSize() const {
     return exec_.tape().maxConeSize();
   }
-  /// Pass-pipeline shrink of the value tape (before == after when
-  /// STCG_TAPE_OPT=0 disabled optimization).
-  [[nodiscard]] const expr::TapePassStats& passStats() const {
-    return passStats_;
-  }
 
  private:
   DistanceTape(BuiltDistance built, const std::vector<expr::VarInfo>& vars);
@@ -105,7 +99,6 @@ class DistanceTape {
   std::vector<expr::VarInfo> vars_;
   expr::TapeExecutor exec_;
   DistanceProgram prog_;
-  expr::TapePassStats passStats_;
   std::vector<double> dist_;  // distance slots (constants pre-set)
 };
 

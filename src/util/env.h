@@ -1,12 +1,11 @@
 // Centralized environment-flag parsing for the STCG_* switches.
 //
-// Every engine escape hatch (STCG_TAPE_OPT, STCG_TAPE_VERIFY) used to
-// hand-roll its own getenv + strcmp, which meant each one silently
-// invented its own notion of truthiness, so a typo could flip a switch
+// A switch such as STCG_TAPE_VERIFY that hand-rolls its own getenv +
+// strcmp invents its own notion of truthiness, so a typo could flip it
 // the wrong way. envFlag gives every switch one strict grammar and one
-// failure mode: an unrecognized value keeps the
-// documented default and emits a single stderr diagnostic naming the
-// variable, the offending value, and the accepted spellings.
+// failure mode: an unrecognized value keeps the documented default and
+// emits a single stderr diagnostic naming the variable, the offending
+// value, and the accepted spellings.
 #pragma once
 
 #include <cstddef>

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 #include "util/rng.h"
 
 namespace stcg::fuzz {
@@ -207,32 +205,6 @@ inline FuzzDag makeFuzzDag(Rng& rng, bool withArrays) {
     }
   }
   return d;
-}
-
-// A raw tape and its pass-pipeline-optimized counterpart over the same
-// roots, with both slot maps — the optimized-vs-raw differential oracle
-// the pass-pipeline fuzz tests execute side by side.
-struct TapePair {
-  std::shared_ptr<const expr::Tape> raw;
-  std::shared_ptr<const expr::Tape> optimized;
-  std::vector<expr::SlotRef> rawSlots;  // roots[i] on `raw`
-  std::vector<expr::SlotRef> optSlots;  // roots[i] on `optimized`
-  expr::TapePassStats stats;
-};
-
-inline TapePair buildTapePair(const std::vector<expr::ExprPtr>& roots,
-                              const expr::TapePassOptions& opts = {}) {
-  expr::TapeBuilder b;
-  TapePair p;
-  p.rawSlots.reserve(roots.size());
-  for (const auto& r : roots) p.rawSlots.push_back(b.addRoot(r));
-  p.raw = b.finish();
-  expr::OptimizedTape opt = expr::optimizeTape(p.raw, {}, opts);
-  p.optimized = std::move(opt.tape);
-  p.stats = opt.stats;
-  p.optSlots.reserve(p.rawSlots.size());
-  for (const auto& s : p.rawSlots) p.optSlots.push_back(opt.remap(s));
-  return p;
 }
 
 inline expr::Scalar randomScalarFor(Rng& rng, const expr::VarInfo& v) {

@@ -4,7 +4,8 @@
 //
 //   - differential fuzz over random expression DAGs (every Op kind,
 //     arrays included): each lane of an 8-wide batch vs its own scalar
-//     executor, across repeated runs with re-bound variables,
+//     executor, across repeated runs with re-bound variables, and vs the
+//     tree Evaluator,
 //   - targeted per-lane semantics: division/modulo by zero in one lane
 //     only, out-of-range select/store indices clamped per lane,
 //   - the unbound-variable error naming both the variable and the lane,
@@ -148,15 +149,19 @@ TEST(BatchTapeFuzz, LanesMatchScalarTapeBitwise) {
   }
 }
 
-// ----- Differential fuzz: batch lanes on the optimized tape ----------------
+// ----- Differential fuzz: batch lanes vs the tree Evaluator ---------------
 
-TEST(BatchTapeFuzz, LanesOnOptimizedTapeMatchScalarRawBitwise) {
+TEST(BatchTapeFuzz, LanesMatchTreeEvaluatorBitwise) {
   Rng rng(44203);
   for (int trial = 0; trial < 12; ++trial) {
     FuzzDag d = makeFuzzDag(rng, /*withArrays=*/true);
+    expr::TapeBuilder b;
     std::vector<ExprPtr> roots;
+    std::vector<SlotRef> slots;
     const auto addRootFrom = [&](const std::vector<ExprPtr>& pool) {
-      roots.push_back(pool[rng.index(pool.size())]);
+      const auto& e = pool[rng.index(pool.size())];
+      roots.push_back(e);
+      slots.push_back(b.addRoot(e));
     };
     for (int i = 0; i < 3; ++i) addRootFrom(d.bools);
     for (int i = 0; i < 2; ++i) {
@@ -166,27 +171,21 @@ TEST(BatchTapeFuzz, LanesOnOptimizedTapeMatchScalarRawBitwise) {
     addRootFrom(d.realArrays);
     addRootFrom(d.intArrays);
 
-    // Batch lanes execute the optimized tape (slot sharing shrinks the
-    // B-wide SoA frame); the oracle is a scalar executor per lane on the
-    // RAW tape, so this differential crosses both the pass pipeline and
-    // the lane kernels at once.
-    const fuzz::TapePair p = fuzz::buildTapePair(roots);
-    expr::BatchTapeExecutor bx(p.optimized, kLanes);
-    std::vector<std::unique_ptr<expr::TapeExecutor>> refs;
+    // The oracle is the tree Evaluator per lane, so this differential
+    // crosses the tape builder and the lane loops at once.
+    expr::BatchTapeExecutor bx(b.finish(), kLanes);
+    std::vector<Env> envs;
     for (int l = 0; l < kLanes; ++l) {
-      const Env env = randomEnv(rng, d);
-      refs.push_back(std::make_unique<expr::TapeExecutor>(p.raw));
-      refs.back()->bindEnv(env);
-      bx.bindEnv(l, env);
+      envs.push_back(randomEnv(rng, d));
+      bx.bindEnv(l, envs.back());
     }
     bx.run();
     for (int l = 0; l < kLanes; ++l) {
-      auto& ref = *refs[static_cast<std::size_t>(l)];
-      ref.run();
+      expr::Evaluator tree(envs[static_cast<std::size_t>(l)]);
       for (std::size_t i = 0; i < roots.size(); ++i) {
         if (roots[i]->isArray()) {
-          const auto& a = ref.array(p.rawSlots[i]);
-          const auto& bt = bx.array(p.optSlots[i], l);
+          const auto a = tree.evalArray(roots[i]);
+          const auto& bt = bx.array(slots[i], l);
           ASSERT_EQ(a.size(), bt.size())
               << "trial " << trial << " lane " << l << " root " << i;
           for (std::size_t j = 0; j < a.size(); ++j) {
@@ -196,7 +195,7 @@ TEST(BatchTapeFuzz, LanesOnOptimizedTapeMatchScalarRawBitwise) {
           }
         } else {
           EXPECT_TRUE(
-              sameScalar(ref.scalar(p.rawSlots[i]), bx.scalar(p.optSlots[i], l)))
+              sameScalar(tree.evalScalar(roots[i]), bx.scalar(slots[i], l)))
               << "trial " << trial << " lane " << l << " root " << i;
         }
       }

@@ -12,6 +12,8 @@
 //     computed state invariant,
 //   - LocalSearchSolver and StcgGenerator producing identical results on
 //     either engine,
+//   - guarded x/0 and x%0 by a constant zero: scalar and batch executors
+//     vs the tree Evaluator,
 //   - the satellite regressions: pinned-root dedup in both evaluators and
 //     Env::reserve semantics.
 #include <gtest/gtest.h>
@@ -33,7 +35,6 @@
 #include "expr/builder.h"
 #include "expr/eval.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
 #include "interval/interval.h"
 #include "model/model.h"
@@ -62,6 +63,7 @@ using fuzz::sameScalar;
 
 using expr::Env;
 using expr::ExprPtr;
+using expr::Op;
 using expr::Scalar;
 using expr::SlotRef;
 using expr::Type;
@@ -172,6 +174,55 @@ TEST(TapeBasics, ConesCoverExactlyTheDependentInstructions) {
   EXPECT_TRUE(sameScalar(ex.scalar(dbl), Scalar::i(36)));
   EXPECT_TRUE(sameScalar(ex.scalar(sum), Scalar::i(3)))
       << "z's cone must not touch the x+y slot";
+}
+
+TEST(TapeBasics, DivModByConstantZeroMatchesGuardedTreeSemantics) {
+  const VarInfo xi{0, "x", Type::kInt, -10, 10};
+  const VarInfo ri{1, "r", Type::kReal, -100, 100};
+  const auto x = expr::mkVar(xi);
+  const auto r = expr::mkVar(ri);
+  const std::vector<ExprPtr> roots = {
+      expr::divE(x, expr::cInt(0)),    expr::modE(x, expr::cInt(0)),
+      expr::divE(r, expr::cReal(0.0)), expr::modE(r, expr::cReal(0.0)),
+      expr::divE(x, expr::cReal(0.0)),  // int/real promotes to real
+  };
+  expr::TapeBuilder b;
+  std::vector<SlotRef> slots;
+  for (const auto& e : roots) slots.push_back(b.addRoot(e));
+  const auto tape = b.finish();
+  // The builder keeps the guarded instructions (non-constant numerators),
+  // so the executors' own x/0 and x%0 guards are what this pins.
+  int guarded = 0;
+  for (const auto& in : tape->code()) {
+    guarded += in.op == Op::kDiv || in.op == Op::kMod ? 1 : 0;
+  }
+  ASSERT_EQ(guarded, static_cast<int>(roots.size()));
+  EXPECT_TRUE(expr::verifyTape(*tape).ok());
+
+  const int kLanes = 4;
+  expr::BatchTapeExecutor batch(tape, kLanes);
+  std::vector<Env> envs(kLanes);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    Env& env = envs[static_cast<std::size_t>(lane)];
+    env.set(0, Scalar::i(lane - 2));
+    env.set(1, Scalar::r(0.25 * lane - 1.0));
+    batch.bindEnv(lane, env);
+  }
+  batch.run();
+  for (int lane = 0; lane < kLanes; ++lane) {
+    const Env& env = envs[static_cast<std::size_t>(lane)];
+    expr::TapeExecutor ex(tape);
+    ex.bindEnv(env);
+    ex.run();
+    expr::Evaluator tree(env);
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      const Scalar expected = tree.evalScalar(roots[i]);
+      EXPECT_TRUE(sameScalar(expected, ex.scalar(slots[i])))
+          << "lane " << lane << " root " << i;
+      EXPECT_TRUE(sameScalar(expected, batch.scalar(slots[i], lane)))
+          << "lane " << lane << " root " << i;
+    }
+  }
 }
 
 // ----- Differential fuzz: concrete tape vs tree Evaluator ------------------
@@ -380,188 +431,6 @@ TEST(TapeFuzz, DistanceTapeMatchesBranchDistanceBitwise) {
     EXPECT_EQ(dt.rebind(point),
               solver::branchDistance(goal, toEnv(point), true))
         << "trial " << trial << " restart rebind";
-  }
-}
-
-// ----- Differential fuzz: pass-pipeline output vs raw tape -----------------
-
-TEST(TapePassFuzz, OptimizedTapeMatchesRawConcreteAndConeExecution) {
-  Rng rng(20260807);
-  for (int trial = 0; trial < 25; ++trial) {
-    FuzzDag d = makeFuzzDag(rng, /*withArrays=*/true);
-    std::vector<ExprPtr> roots;
-    const auto addRootFrom = [&](const std::vector<ExprPtr>& pool) {
-      roots.push_back(pool[rng.index(pool.size())]);
-    };
-    for (int i = 0; i < 3; ++i) addRootFrom(d.bools);
-    for (int i = 0; i < 2; ++i) {
-      addRootFrom(d.ints);
-      addRootFrom(d.reals);
-    }
-    addRootFrom(d.realArrays);
-    addRootFrom(d.intArrays);
-
-    const fuzz::TapePair p = fuzz::buildTapePair(roots);
-    ASSERT_FALSE(expr::verifyTape(*p.raw).hasErrors()) << "trial " << trial;
-    ASSERT_FALSE(expr::verifyTape(*p.optimized).hasErrors())
-        << "trial " << trial
-        << "\n" << expr::verifyTape(*p.optimized).render();
-
-    expr::TapeExecutor raw(p.raw), opt(p.optimized);
-    Env env = randomEnv(rng, d);
-    raw.bindEnv(env);
-    raw.run();
-    opt.bindEnv(env);
-    opt.run();
-
-    const auto checkAll = [&](const char* what) {
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        if (roots[i]->isArray()) {
-          const auto& a = raw.array(p.rawSlots[i]);
-          const auto& b = opt.array(p.optSlots[i]);
-          ASSERT_EQ(a.size(), b.size())
-              << what << " trial " << trial << " root " << i;
-          for (std::size_t j = 0; j < a.size(); ++j) {
-            EXPECT_TRUE(sameScalar(a[j], b[j]))
-                << what << " trial " << trial << " root " << i << " [" << j
-                << "]";
-          }
-        } else {
-          EXPECT_TRUE(
-              sameScalar(raw.scalar(p.rawSlots[i]), opt.scalar(p.optSlots[i])))
-              << what << " trial " << trial << " root " << i;
-        }
-      }
-    };
-    checkAll("full");
-
-    // Incremental cone replay must stay exact on the slot-shared tape —
-    // the property the allocator's cone-coherence restriction protects.
-    for (int m = 0; m < 6; ++m) {
-      const auto& v = d.vars[rng.index(d.vars.size())];
-      const Scalar nv = randomScalarFor(rng, v);
-      raw.setVar(v.id, nv);
-      raw.runCone(v.id);
-      opt.setVar(v.id, nv);
-      opt.runCone(v.id);
-      checkAll("cone");
-    }
-    std::vector<Scalar> ar;
-    for (int i = 0; i < 4; ++i) {
-      ar.push_back(Scalar::r(rng.uniformReal(-50.0, 50.0)));
-    }
-    raw.setArrayVar(kRealArrId, ar);
-    raw.runCone(kRealArrId);
-    opt.setArrayVar(kRealArrId, ar);
-    opt.runCone(kRealArrId);
-    checkAll("array-cone");
-  }
-}
-
-TEST(TapePassFuzz, IntervalSafeOptimizationMatchesRawIntervalExecution) {
-  Rng rng(88002);
-  for (int trial = 0; trial < 20; ++trial) {
-    FuzzDag d = makeFuzzDag(rng, /*withArrays=*/true);
-    std::vector<ExprPtr> roots;
-    const auto addRootFrom = [&](const std::vector<ExprPtr>& pool) {
-      roots.push_back(pool[rng.index(pool.size())]);
-    };
-    for (int i = 0; i < 3; ++i) addRootFrom(d.bools);
-    for (int i = 0; i < 2; ++i) {
-      addRootFrom(d.ints);
-      addRootFrom(d.reals);
-    }
-    addRootFrom(d.realArrays);
-    addRootFrom(d.intArrays);
-
-    const fuzz::TapePair p =
-        fuzz::buildTapePair(roots, analysis::intervalSafePassOptions());
-    ASSERT_FALSE(expr::verifyTape(*p.optimized).hasErrors())
-        << "trial " << trial;
-
-    // Random partial binding, as in the interval-vs-tree fuzz above.
-    analysis::IntervalEnv env;
-    for (const auto& v : d.vars) {
-      if (!rng.chance(0.6)) continue;
-      double a = rng.uniformReal(v.lo, v.hi);
-      double c = rng.uniformReal(v.lo, v.hi);
-      if (a > c) std::swap(a, c);
-      Interval iv(a, c);
-      if (v.type != Type::kReal) iv = iv.integralHull();
-      env.set(v.id, iv);
-    }
-    if (rng.chance(0.5)) {
-      std::vector<Interval> elems;
-      for (int i = 0; i < 4; ++i) {
-        const double m = rng.uniformReal(-50.0, 50.0);
-        elems.push_back(Interval(m, m + rng.uniformReal(0.0, 10.0)));
-      }
-      env.setArray(kRealArrId, std::move(elems));
-    }
-
-    analysis::IntervalTapeExecutor raw(p.raw), opt(p.optimized);
-    raw.bind(env);
-    raw.run();
-    opt.bind(env);
-    opt.run();
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      if (roots[i]->isArray()) {
-        const auto& a = raw.array(p.rawSlots[i]);
-        const auto& b = opt.array(p.optSlots[i]);
-        ASSERT_EQ(a.size(), b.size()) << "trial " << trial << " root " << i;
-        for (std::size_t j = 0; j < a.size(); ++j) {
-          EXPECT_TRUE(sameInterval(a[j], b[j]))
-              << "trial " << trial << " root " << i << " [" << j << "]: ["
-              << a[j].lo() << "," << a[j].hi() << "] vs [" << b[j].lo() << ","
-              << b[j].hi() << "]";
-        }
-      } else {
-        const Interval& a = raw.scalar(p.rawSlots[i]);
-        const Interval& b = opt.scalar(p.optSlots[i]);
-        EXPECT_TRUE(sameInterval(a, b))
-            << "trial " << trial << " root " << i << ": [" << a.lo() << ","
-            << a.hi() << "] vs [" << b.lo() << "," << b.hi() << "]";
-      }
-    }
-  }
-}
-
-TEST(TapePassFuzz, DistanceOverlayTapsMatchRawAfterOptimization) {
-  Rng rng(314159);
-  for (int trial = 0; trial < 15; ++trial) {
-    FuzzDag d = makeFuzzDag(rng, /*withArrays=*/false);
-    ExprPtr goal = d.bools[rng.index(d.bools.size())];
-    goal = expr::andE(std::move(goal), d.bools[rng.index(d.bools.size())]);
-
-    // The producer's build: value tape + overlay, interior value taps
-    // (va/vb) pinned live through the optimizer.
-    expr::TapeBuilder b;
-    const solver::DistanceProgram prog = solver::buildDistanceProgram(goal, b);
-    const std::shared_ptr<const expr::Tape> raw = b.finish();
-    std::vector<SlotRef> taps;
-    for (const auto& in : prog.code) {
-      if (in.va >= 0) taps.push_back({in.va, false});
-      if (in.vb >= 0) taps.push_back({in.vb, false});
-    }
-    const expr::OptimizedTape o = expr::optimizeTape(raw, taps);
-    ASSERT_FALSE(expr::verifyTape(*o.tape).hasErrors()) << "trial " << trial;
-
-    // Every overlay tap must read the same bits from either tape — the
-    // overlay is a pure function of the taps, so the distances agree too.
-    expr::TapeExecutor rawEx(raw), optEx(o.tape);
-    for (int probe = 0; probe < 5; ++probe) {
-      const Env env = randomEnv(rng, d);
-      rawEx.bindEnv(env);
-      rawEx.run();
-      optEx.bindEnv(env);
-      optEx.run();
-      for (std::size_t i = 0; i < taps.size(); ++i) {
-        const SlotRef mapped = o.remap(taps[i]);
-        ASSERT_TRUE(mapped.valid()) << "trial " << trial << " tap " << i;
-        EXPECT_TRUE(sameScalar(rawEx.scalar(taps[i]), optEx.scalar(mapped)))
-            << "trial " << trial << " probe " << probe << " tap " << i;
-      }
-    }
   }
 }
 

@@ -29,8 +29,9 @@ echo "== test =="
 ctest --test-dir "$build_dir" --output-on-failure
 
 # Full tape-verifier sweep under ASan/UBSan: all eight bench models'
-# sim/interval/distance tapes plus a random-model and random-DAG corpus,
-# raw and pass-pipeline output both verified and differentially compared.
+# sim/interval/distance tapes plus a random-model corpus verified, and a
+# random-DAG corpus run on the tape executor (full run and cone replay)
+# and compared bitwise against the tree Evaluator.
 echo "== tape audit (full, sanitized) =="
 cmake --build "$build_dir" -j "$(nproc)" --target tape_audit
 "$build_dir/tools/tape_audit"

@@ -48,11 +48,12 @@ int usage(const char* argv0) {
       "            [--prune-dead] [--export FILE] [--csv FILE] [--dot FILE]\n"
       "            [--save-model FILE] [--invariant] [--trace]\n"
       "  <model> is a benchmark name (--list) or an .stcgm file path\n"
-      "  --jobs N runs the STCG solve loop on N lanes (0 = all cores);\n"
-      "    results are identical for a fixed seed regardless of N\n"
+      "  --jobs N runs the STCG solve loop on N lanes (0 = all cores)\n"
       "  --batch N sets the lockstep tape lane width for replay expansion,\n"
-      "    suite replay, and local-search scoring (default 8, 1 = scalar);\n"
-      "    results are identical for a fixed seed regardless of N\n"
+      "    suite replay, and local-search scoring (default 8, 1 = scalar)\n"
+      "  --jobs and --batch leave results for a fixed seed unchanged while\n"
+      "    the 100 ms per-query solver time limit binds on no query;\n"
+      "    --solver local is a known case where it binds\n"
       "  --engine selects the simulation engine: tape (default) or tree\n"
       "    (the semantic oracle); results are bit-identical across engines\n"
       "  --checkpoint FILE saves the STCG campaign state to FILE every\n"

@@ -1,15 +1,15 @@
 // Standalone tape-audit gate for tools/check.sh: sweeps every tape the
-// engines would execute and exits non-zero on any verifier error or any
-// raw-vs-optimized differential mismatch. Runs in three stages:
+// engines would execute and exits non-zero on any verifier finding or any
+// tape-vs-tree differential mismatch. Runs in three stages:
 //
 //   1. bench models:  sim / interval / distance tapes of all eight bench
-//      models verify clean, raw and pass-pipeline output alike.
+//      models verify with no finding (no error, no missed-CSE warning).
 //   2. random models: a corpus of randomly wired block models (delays for
 //      state, switches for branches) goes through the same sweep, so the
 //      verifier sees shapes no hand-written model exercises.
-//   3. random DAGs:   fuzz_dag expression corpora execute raw vs optimized
-//      tapes side by side — full run plus incremental cone replay — and
-//      every root is compared bitwise.
+//   3. random DAGs:   fuzz_dag expression corpora run on the tape
+//      executor — full run plus incremental cone replay — and every root
+//      is compared bitwise against the tree Evaluator.
 //
 // check.sh runs the full sweep inside the ASan/UBSan build and the
 // `--quick` gate inside the Release bench build.
@@ -29,7 +29,6 @@
 #include "expr/builder.h"
 #include "expr/eval.h"
 #include "expr/tape.h"
-#include "expr/tape_passes.h"
 #include "expr/tape_verify.h"
 #include "model/model.h"
 #include "solver/distance_tape.h"
@@ -53,35 +52,30 @@ void fail(const std::string& msg) {
   ++failures;
 }
 
-bool verifyClean(const expr::Tape& t, const std::string& what) {
+void verifyClean(const expr::Tape& t, const std::string& what) {
   const expr::TapeVerifyResult res = expr::verifyTape(t);
-  if (!res.hasErrors()) return true;
-  fail(what + " failed verification:\n" + res.render());
-  return false;
+  if (!res.ok()) fail(what + " failed verification:\n" + res.render());
 }
 
 // ----- stages 1 and 2: whole-model sweep ------------------------------------
 
 struct SweepStats {
   int models = 0;
-  int shrank = 0;
   int distanceTapes = 0;
 };
 
 /// Verify every tape this compiled model can hand an engine: the
 /// simulation ModelTape, the interval tape over the next-state roots, and
 /// one distance tape per branch path constraint (the distance build is
-/// replicated from the DistanceTape constructor so the raw/optimized pair
-/// is verified explicitly even in Release, where the producers' own
+/// replicated from the DistanceTape constructor so it is verified
+/// explicitly even in Release, where the producers' own
 /// maybeRequireVerifiedTape is off).
 void auditCompiledModel(const compile::CompiledModel& cm,
                         const std::string& name, SweepStats& stats) {
   try {
     const compile::ModelTape mt = compile::buildModelTape(cm);
-    verifyClean(*mt.rawTape, name + " sim (raw)");
     verifyClean(*mt.tape, name + " sim");
     ++stats.models;
-    if (mt.passStats.shrank()) ++stats.shrank;
 
     if (!cm.states.empty()) {
       std::vector<ExprPtr> nextRoots;
@@ -89,24 +83,14 @@ void auditCompiledModel(const compile::CompiledModel& cm,
       for (const auto& sv : cm.states) nextRoots.push_back(sv.next);
       const analysis::IntervalTapeBuild built =
           analysis::buildIntervalTape(nextRoots);
-      verifyClean(*built.rawTape, name + " interval (raw)");
       verifyClean(*built.tape, name + " interval");
     }
 
     for (const auto& br : cm.branches) {
       try {
         expr::TapeBuilder b;
-        const solver::DistanceProgram prog =
-            solver::buildDistanceProgram(br.pathConstraint, b);
-        const std::shared_ptr<const expr::Tape> raw = b.finish();
-        verifyClean(*raw, name + " distance:" + br.label + " (raw)");
-        std::vector<expr::SlotRef> extraLive;
-        for (const auto& in : prog.code) {
-          if (in.va >= 0) extraLive.push_back({in.va, false});
-          if (in.vb >= 0) extraLive.push_back({in.vb, false});
-        }
-        const expr::OptimizedTape opt = expr::optimizeTape(raw, extraLive);
-        verifyClean(*opt.tape, name + " distance:" + br.label);
+        (void)solver::buildDistanceProgram(br.pathConstraint, b);
+        verifyClean(*b.finish(), name + " distance:" + br.label);
         ++stats.distanceTapes;
       } catch (const expr::EvalError&) {
         // Non-boolean / array goal: the solver would not compile it either.
@@ -191,9 +175,12 @@ Model randomModel(Rng& rng, int idx) {
 
 void fuzzDagTrial(Rng& rng, int trial) {
   fuzz::FuzzDag d = fuzz::makeFuzzDag(rng, /*withArrays=*/true);
+  expr::TapeBuilder b;
   std::vector<ExprPtr> roots;
+  std::vector<expr::SlotRef> slots;
   const auto addRootFrom = [&](const std::vector<ExprPtr>& pool) {
     roots.push_back(pool[rng.index(pool.size())]);
+    slots.push_back(b.addRoot(roots.back()));
   };
   for (int i = 0; i < 3; ++i) addRootFrom(d.bools);
   for (int i = 0; i < 2; ++i) {
@@ -204,49 +191,47 @@ void fuzzDagTrial(Rng& rng, int trial) {
   addRootFrom(d.intArrays);
 
   const std::string where = "dag trial " + std::to_string(trial);
-  const fuzz::TapePair p = fuzz::buildTapePair(roots);
-  verifyClean(*p.raw, where + " (raw)");
-  verifyClean(*p.optimized, where + " (optimized)");
+  const auto tape = b.finish();
+  verifyClean(*tape, where);
 
-  expr::TapeExecutor raw(p.raw), opt(p.optimized);
-  const expr::Env env = fuzz::randomEnv(rng, d);
-  raw.bindEnv(env);
-  raw.run();
-  opt.bindEnv(env);
-  opt.run();
+  expr::TapeExecutor ex(tape);
+  expr::Env env = fuzz::randomEnv(rng, d);
+  ex.bindEnv(env);
+  ex.run();
 
   const auto checkAll = [&](const char* what) {
+    expr::Evaluator tree(env);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const std::string at = where + " " + what + " root " +
                              std::to_string(i);
       if (roots[i]->isArray()) {
-        const auto& a = raw.array(p.rawSlots[i]);
-        const auto& b = opt.array(p.optSlots[i]);
-        if (a.size() != b.size()) {
+        const auto want = tree.evalArray(roots[i]);
+        const auto& got = ex.array(slots[i]);
+        if (want.size() != got.size()) {
           fail(at + ": array width mismatch");
           continue;
         }
-        for (std::size_t j = 0; j < a.size(); ++j) {
-          if (!fuzz::sameScalar(a[j], b[j])) {
-            fail(at + " [" + std::to_string(j) + "]: optimized != raw");
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          if (!fuzz::sameScalar(want[j], got[j])) {
+            fail(at + " [" + std::to_string(j) + "]: tape != tree");
           }
         }
-      } else if (!fuzz::sameScalar(raw.scalar(p.rawSlots[i]),
-                                   opt.scalar(p.optSlots[i]))) {
-        fail(at + ": optimized != raw");
+      } else if (!fuzz::sameScalar(tree.evalScalar(roots[i]),
+                                   ex.scalar(slots[i]))) {
+        fail(at + ": tape != tree");
       }
     }
   };
   checkAll("full");
 
-  // Incremental cone replay must stay exact on the slot-shared tape.
+  // Incremental cone replay must match a fresh tree evaluation on every
+  // root, which catches any instruction missing from a cone.
   for (int mut = 0; mut < 4; ++mut) {
     const auto& v = d.vars[rng.index(d.vars.size())];
     const Scalar nv = fuzz::randomScalarFor(rng, v);
-    raw.setVar(v.id, nv);
-    raw.runCone(v.id);
-    opt.setVar(v.id, nv);
-    opt.runCone(v.id);
+    env.set(v.id, nv);
+    ex.setVar(v.id, nv);
+    ex.runCone(v.id);
     checkAll("cone");
   }
 }
@@ -279,12 +264,8 @@ int runAudit(int argc, char** argv) {
     auditCompiledModel(compile::compile(stcg::bench::buildBenchModel(info.name)),
                        info.name, bench);
   }
-  std::printf("bench models: %d audited, %d shrank, %d distance tapes\n",
-              bench.models, bench.shrank, bench.distanceTapes);
-  if (bench.shrank < 4) {
-    fail("pass pipeline shrank only " + std::to_string(bench.shrank) +
-         "/8 bench models (acceptance floor is 4)");
-  }
+  std::printf("bench models: %d audited, %d distance tapes\n", bench.models,
+              bench.distanceTapes);
 
   Rng rng(seed);
   SweepStats random;
@@ -292,8 +273,8 @@ int runAudit(int argc, char** argv) {
     auditCompiledModel(compile::compile(randomModel(rng, i)),
                        "random model " + std::to_string(i), random);
   }
-  std::printf("random models: %d audited, %d shrank, %d distance tapes\n",
-              random.models, random.shrank, random.distanceTapes);
+  std::printf("random models: %d audited, %d distance tapes\n",
+              random.models, random.distanceTapes);
 
   for (int t = 0; t < nFuzz; ++t) fuzzDagTrial(rng, t);
   std::printf("random DAGs: %d differential trials\n", nFuzz);
