@@ -17,10 +17,11 @@
 //     same candidate stream scored through runBounded() against an
 //     improving incumbent, surfacing how many per-lane overlay
 //     instructions the early-exit masks retire vs skip.
-//   - interval refutation throughput (boxes/sec, B=1 vs B=8): candidate
-//     sub-boxes of the input domains judged against every branch
-//     constraint through the B-lane BatchIntervalTapeExecutor — the
-//     sub-box refutation layer of analysis::proveConstraintDeadFrom.
+//   - interval refutation throughput (boxes/sec): candidate sub-boxes of
+//     the input domains judged against every branch constraint, with the
+//     tape built once per model and one IntervalTapeExecutor rebound per
+//     box — the shape of the sub-box refutation layer of
+//     analysis::proveConstraintDeadFrom.
 //
 // Usage: bench_batch_eval [--quick] [--json PATH] [--seconds S]
 //                         [--git SHA] [--timestamp TS]
@@ -74,7 +75,7 @@ struct Row {
   double steps[kNumWidths] = {};  // replay steps/sec at kWidths[i]
   double maskedCand = 0;          // candidates/sec, runBounded at B=8
   double skipRate = 0;            // skipped / (retired + skipped), B=8
-  double iboxB1 = 0, iboxB8 = 0;  // interval boxes judged/sec
+  double ibox = 0;                // interval boxes judged/sec
   // Payload-row array path counters from the B=8 replay executor (see
   // expr::BatchArrayStats) — a regression on the array word-move/typed-row
   // fast paths shows up here before it shows up in steps/sec.
@@ -85,9 +86,6 @@ struct Row {
   }
   [[nodiscard]] double stepSpeedupB8() const {
     return steps[0] > 0 ? steps[2] / steps[0] : 0;
-  }
-  [[nodiscard]] double iboxSpeedupB8() const {
-    return iboxB1 > 0 ? iboxB8 / iboxB1 : 0;
   }
 };
 
@@ -229,24 +227,24 @@ double measureMaskedCandidatesPerSec(const expr::ExprPtr& goal,
 }
 
 /// Interval refutation throughput: candidate sub-boxes of the declared
-/// input domains judged against every branch path constraint, through
-/// the two public entry points the refutation layer can use. B=1 is
-/// intervalVerdicts per box (one tape build + one pass each — judging
-/// boxes one at a time); B>1 is intervalVerdictsBatch per B boxes (one
-/// build + one B-lane pass). boxes-judged/sec.
+/// input domains judged against every branch path constraint. The tape is
+/// built once per model; each box is one bind() + run() of a single
+/// IntervalTapeExecutor. boxes-judged/sec.
 double measureIntervalBoxesPerSec(const compile::CompiledModel& cm,
-                                  int lanes, double window) {
+                                  double window) {
   std::vector<expr::ExprPtr> roots;
   roots.reserve(cm.branches.size());
   for (const auto& br : cm.branches) roots.push_back(br.pathConstraint);
+  const analysis::IntervalTapeBuild built = analysis::buildIntervalTape(roots);
+  analysis::IntervalTapeExecutor ex(built.tape);
 
   // Deterministic pool of candidate sub-boxes over the input domains
   // (state variables fall back to their declared domains on bind).
   Rng rng(977);
-  std::vector<analysis::IntervalEnv> envs;
+  std::vector<interval::IntervalEnv> envs;
   envs.reserve(64);
   for (int i = 0; i < 64; ++i) {
-    analysis::IntervalEnv env;
+    interval::IntervalEnv env;
     for (const auto& in : cm.inputs) {
       const double lo = rng.uniformReal(in.info.lo, in.info.hi);
       const double hi = rng.uniformReal(lo, in.info.hi);
@@ -257,28 +255,15 @@ double measureIntervalBoxesPerSec(const compile::CompiledModel& cm,
 
   double sink = 0;
   std::size_t boxes = 0;
-  std::size_t cursor = 0;
   double elapsed = 0;
-  std::vector<analysis::IntervalEnv> laneEnvs(
-      static_cast<std::size_t>(lanes));
   const auto t0 = Clock::now();
   do {
-    if (lanes <= 1) {
-      const auto verdicts = analysis::intervalVerdicts(roots, envs[cursor]);
-      cursor = (cursor + 1) % envs.size();
-      for (const auto& v : verdicts) sink += v.isFalse() ? 1.0 : 0.0;
-      boxes += 1;
-    } else {
-      for (int l = 0; l < lanes; ++l) {
-        laneEnvs[static_cast<std::size_t>(l)] = envs[cursor];
-        cursor = (cursor + 1) % envs.size();
-      }
-      const auto verdicts = analysis::intervalVerdictsBatch(roots, laneEnvs);
-      for (const auto& lane : verdicts) {
-        for (const auto& v : lane) sink += v.isFalse() ? 1.0 : 0.0;
-      }
-      boxes += static_cast<std::size_t>(lanes);
+    ex.bind(envs[boxes % envs.size()]);
+    ex.run();
+    for (const auto& slot : built.rootSlots) {
+      sink += ex.scalar(slot).isFalse() ? 1.0 : 0.0;
     }
+    ++boxes;
     elapsed = secondsSince(t0);
   } while (elapsed < window);
   if (sink == -1.0) std::cerr << "";
@@ -363,11 +348,8 @@ void writeJson(const std::string& path, const std::vector<Row>& rows,
                   ", \"overlay_skip_rate_b8\": %.4f",
                   r.maskedCand, r.skipRate);
     out << buf;
-    std::snprintf(buf, sizeof buf,
-                  ", \"interval_boxes_per_sec_b1\": %.0f"
-                  ", \"interval_boxes_per_sec_b8\": %.0f"
-                  ", \"interval_speedup_b8\": %.2f",
-                  r.iboxB1, r.iboxB8, r.iboxSpeedupB8());
+    std::snprintf(buf, sizeof buf, ", \"interval_boxes_per_sec\": %.0f",
+                  r.ibox);
     out << buf;
     std::snprintf(buf, sizeof buf,
                   ", \"array_typed_row_rate_b8\": %.4f"
@@ -449,10 +431,8 @@ int run(int argc, char** argv) {
       return measureMaskedCandidatesPerSec(conjunctionGoal(cm), vars, 8,
                                            window, &row.skipRate);
     });
-    row.iboxB1 = benchx::medianOf(
-        repeat, [&] { return measureIntervalBoxesPerSec(cm, 1, window); });
-    row.iboxB8 = benchx::medianOf(
-        repeat, [&] { return measureIntervalBoxesPerSec(cm, 8, window); });
+    row.ibox = benchx::medianOf(
+        repeat, [&] { return measureIntervalBoxesPerSec(cm, window); });
     rows.push_back(std::move(row));
   }
 
@@ -472,12 +452,11 @@ int run(int argc, char** argv) {
   }
   std::printf("%-12s | %s\n", "",
               "masked scan B=8 (runBounded) and interval refutation");
-  std::printf("%-12s %14s %10s %14s %14s %8s\n", "model", "masked c/s",
-              "skip", "boxes/s B=1", "boxes/s B=8", "i spd");
+  std::printf("%-12s %14s %10s %14s\n", "model", "masked c/s", "skip",
+              "boxes/s");
   for (const Row& r : rows) {
-    std::printf("%-12s %14.0f %9.1f%% %14.0f %14.0f %7.2fx\n",
-                r.name.c_str(), r.maskedCand, r.skipRate * 100.0, r.iboxB1,
-                r.iboxB8, r.iboxSpeedupB8());
+    std::printf("%-12s %14.0f %9.1f%% %14.0f\n", r.name.c_str(),
+                r.maskedCand, r.skipRate * 100.0, r.ibox);
   }
   std::printf("%-12s | %s\n", "",
               "payload-row array paths at B=8 replay");

@@ -1,6 +1,7 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "analysis/interval_tape.h"
@@ -13,6 +14,7 @@
 namespace stcg::analysis {
 
 using interval::Interval;
+using interval::IntervalEnv;
 
 namespace {
 
@@ -185,23 +187,24 @@ bool proofVariables(const compile::CompiledModel& cm,
   return true;
 }
 
-/// Decompose the proof box spanned by `vars` into up to `lanes` sub-boxes
-/// whose union covers it: greedy widest-dimension bisection, splitting
-/// integer dimensions between integers (a width-k mode domain decomposes
-/// into exact cases). Returns one environment per sub-box — a copy of
-/// `base` (so array state stays bound) with the box variables overridden.
-std::vector<IntervalEnv> splitProofBox(const std::vector<expr::VarInfo>& vars,
-                                       const IntervalEnv& base, int lanes) {
-  using Box = std::vector<Interval>;
-  Box whole;
+/// Sub-boxes the refutation layer of proveConstraintDeadFrom splits the
+/// proof box into.
+constexpr std::size_t kSubBoxes = 8;
+
+using SubBox = std::vector<Interval>;  // one domain per proof variable
+
+/// Decompose the proof box spanned by `vars` into up to kSubBoxes
+/// sub-boxes whose union covers it: greedy widest-dimension bisection,
+/// splitting integer dimensions between integers (a width-k mode domain
+/// decomposes into exact cases).
+std::vector<SubBox> splitProofBox(const std::vector<expr::VarInfo>& vars) {
+  SubBox whole;
   whole.reserve(vars.size());
   for (const auto& v : vars) {
-    Interval iv(v.lo, v.hi);
-    if (v.type != expr::Type::kReal) iv = iv.integralHull();
-    whole.push_back(iv);
+    whole.push_back(interval::declaredDomain(v.lo, v.hi, v.type));
   }
-  std::vector<Box> boxes{std::move(whole)};
-  while (static_cast<int>(boxes.size()) < lanes) {
+  std::vector<SubBox> boxes{std::move(whole)};
+  while (boxes.size() < kSubBoxes) {
     // Pick the (box, dim) pair with the widest splittable dimension.
     std::size_t bestB = boxes.size();
     std::size_t bestD = 0;
@@ -224,8 +227,8 @@ std::vector<IntervalEnv> splitProofBox(const std::vector<expr::VarInfo>& vars,
       }
     }
     if (bestB == boxes.size()) break;  // nothing left to split
-    Box right = boxes[bestB];
-    Box& left = boxes[bestB];
+    SubBox right = boxes[bestB];
+    SubBox& left = boxes[bestB];
     const Interval iv = left[bestD];
     if (vars[bestD].type != expr::Type::kReal) {
       const double m = std::floor(0.5 * (iv.lo() + iv.hi()));
@@ -238,14 +241,7 @@ std::vector<IntervalEnv> splitProofBox(const std::vector<expr::VarInfo>& vars,
     }
     boxes.push_back(std::move(right));
   }
-  std::vector<IntervalEnv> envs;
-  envs.reserve(boxes.size());
-  for (const auto& box : boxes) {
-    IntervalEnv env = base;
-    for (std::size_t d = 0; d < vars.size(); ++d) env.set(vars[d].id, box[d]);
-    envs.push_back(std::move(env));
-  }
-  return envs;
+  return boxes;
 }
 
 }  // namespace
@@ -280,19 +276,28 @@ bool proveConstraintDeadFrom(const compile::CompiledModel& cm,
     return true;
   }
 
-  // Lane-parallel sub-box refutation: bisect the proof box into
-  // opt.subBoxLanes sub-boxes and judge the constraint under all of them
-  // in one batched interval pass. Their union covers the box, so
-  // definitely-false on every lane refutes the constraint everywhere —
-  // catching case splits (small integer mode domains) the whole-box
-  // verdict hulls away.
-  if (opt.subBoxLanes > 1 && !vars.empty()) {
-    const auto envs = splitProofBox(vars, inv.env, opt.subBoxLanes);
-    if (envs.size() > 1) {
-      const auto lanes = intervalVerdictsBatch({constraint}, envs);
-      bool allFalse = true;
-      for (const auto& v : lanes) allFalse = allFalse && v[0].isFalse();
-      if (allFalse) return true;
+  // Sub-box refutation: bisect the proof box and judge the constraint
+  // under each sub-box on one tape, stopping at the first that is not
+  // definitely false. The sub-boxes cover the box, so definitely-false
+  // under all of them refutes the constraint everywhere — catching case
+  // splits (small integer mode domains) the whole-box verdict hulls away.
+  if (!vars.empty()) {
+    const std::vector<SubBox> subBoxes = splitProofBox(vars);
+    if (subBoxes.size() > 1) {
+      const IntervalTapeBuild built = buildIntervalTape({constraint});
+      IntervalTapeExecutor ex(built.tape);
+      IntervalEnv env = inv.env;  // array state stays bound
+      const auto refuted = [&](const SubBox& sub) {
+        for (std::size_t d = 0; d < vars.size(); ++d) {
+          env.set(vars[d].id, sub[d]);
+        }
+        ex.bind(env);
+        ex.run();
+        return ex.scalar(built.rootSlots[0]).isFalse();
+      };
+      if (std::all_of(subBoxes.begin(), subBoxes.end(), refuted)) {
+        return true;
+      }
     }
   }
 

@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interval_eval.h"
 #include "compile/compiled_model.h"
+#include "interval/forward.h"
 
 namespace stcg::analysis {
 
@@ -43,21 +43,12 @@ struct ReachabilityOptions {
   /// left at the interval verdict.
   bool solverBackedProofs = true;
   std::int64_t solverBudgetMillis = 60;  // per-branch proof budget
-  /// Lane-parallel sub-box refutation (between HC4 and the solver): the
-  /// invariant-bounded proof box is bisected along its widest dimensions —
-  /// integer dims split between integers, so a small mode domain
-  /// decomposes into exact cases — into up to this many sub-boxes, and
-  /// the constraint is judged under all of them in one B-wide batched
-  /// interval pass (analysis::intervalVerdictsBatch). Definitely-false on
-  /// every lane is a dead proof (the sub-boxes cover the box) at a
-  /// fraction of a solver query's cost. <= 1 disables the layer.
-  int subBoxLanes = 8;
 };
 
 /// The state invariant: interval domains per state variable (elementwise
 /// for arrays), plus convergence metadata.
 struct StateInvariant {
-  IntervalEnv env;
+  interval::IntervalEnv env;
   bool converged = false;
   int iterations = 0;
 };
@@ -81,9 +72,12 @@ struct DeadBranchReport {
 /// unsatisfiable from every reachable state. Four escalating layers:
 /// (1) forward interval evaluation under the invariant, (2) HC4
 /// contraction of the invariant-bounded box (inputs + scalar state),
-/// (3) lane-parallel sub-box refutation (subBoxLanes candidate sub-boxes
-/// judged per batched interval pass), and (4) an exhaustive solver
-/// refutation when solverBackedProofs is set. A true result is a proof;
+/// (3) sub-box refutation: the box is bisected along its widest
+/// dimensions (integer dims between integers, so a small mode domain
+/// decomposes into exact cases) into up to 8 sub-boxes covering it, and
+/// the constraint's interval tape, built once, is run under each in turn;
+/// definitely-false under all of them is a dead proof — and (4) an
+/// exhaustive solver refutation when solverBackedProofs is set. A true result is a proof;
 /// false means "possibly satisfiable". Constraints over array state stop
 /// after layer (1).
 [[nodiscard]] bool proveConstraintDead(const compile::CompiledModel& cm,

@@ -9,12 +9,15 @@
 // single non-recursive switch loop over dense slot vectors — no shared_ptr
 // dereferences, no memo hashing, no recursion.
 //
-// Three engines execute the same tape:
+// Engines executing the same tape:
 //   - TapeExecutor (here): concrete Scalar slots, bit-identical to the
 //     tree Evaluator (same applyUnary/applyBinary/castTo calls in the same
-//     order, same guarded kDiv/kMod and clamped kSelect/kStore semantics).
-//   - analysis::IntervalTapeExecutor: interval slots, mirroring
-//     IntervalEvaluator (the abstract domain of the reachability pass).
+//     order, same guarded kDiv/kMod and clamped kSelect/kStore semantics);
+//     expr::BatchTapeExecutor runs it across B lanes.
+//   - analysis::IntervalTapeExecutor: interval slots, applying the forward
+//     interval rules of interval/interval.h, as the tree walker
+//     interval::ForwardEvaluator does (the abstract domain of HC4 and the
+//     reachability pass).
 //   - solver::DistanceTape: a branch-distance overlay for local search.
 //
 // Incremental re-evaluation: finish() precomputes, per variable, the

@@ -1,19 +1,18 @@
 // HC4 (forward-backward) contraction of a box against a boolean constraint.
 //
-// Forward pass: evaluate an interval domain for every DAG node under the
-// current box. Backward pass: starting from "the root must be true", push
-// refined target intervals down through inverse operator rules, narrowing
-// variable domains where they are reached. Iterated to (approximate)
+// Forward pass: the shared tree walker (interval/forward.h) evaluates an
+// interval domain for every DAG node under the current box. Backward
+// pass: starting from "the root must be true", push refined target
+// intervals down through inverse operator rules, narrowing variable
+// domains where they are reached. Iterated to (approximate)
 // fixpoint. The contractor is sound: it never removes a point that could
 // satisfy the constraint, so an empty result proves unsatisfiability
 // within the box.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
-
 #include "expr/expr.h"
 #include "interval/box.h"
+#include "interval/forward.h"
 
 namespace stcg::interval {
 
@@ -38,21 +37,16 @@ class Hc4Contractor {
   [[nodiscard]] Interval forwardEval(const Box& box);
 
  private:
-  using ArrayDomain = std::vector<Interval>;
-
   // One forward/backward sweep. Returns kEmpty on proven infeasibility.
   ContractOutcome pass(Box& box);
-
-  Interval forward(const expr::Expr* e, const Box& box);
-  ArrayDomain forwardArray(const expr::Expr* e, const Box& box);
 
   // Narrow through node `e` given that its value must lie in `target`.
   // Returns false if a contradiction (empty domain) was derived.
   bool backward(const expr::Expr* e, Interval target, Box& box);
 
   expr::ExprPtr goal_;
-  std::unordered_map<const expr::Expr*, Interval> fwd_;
-  std::unordered_map<const expr::Expr*, ArrayDomain> fwdArray_;
+  // Leaves bound to the box of the current pass; backward reads its memo.
+  ForwardEvaluator fwd_;
 };
 
 }  // namespace stcg::interval

@@ -15,6 +15,24 @@ Interval fromBools(bool canFalse, bool canTrue) {
   return Interval(canTrue && !canFalse ? 1.0 : 0.0,
                   canTrue ? 1.0 : 0.0);
 }
+
+/// Element range [lo, hi] an index interval can reach in an n-element
+/// array (integral hull, out-of-range indices clamped to the ends). False
+/// when it reaches none: an empty index or a zero-length array.
+bool reachedElements(const Interval& idx, std::size_t n, std::size_t& lo,
+                     std::size_t& hi) {
+  const Interval i = idx.integralHull();
+  if (i.isEmpty() || n == 0) return false;
+  const auto last = static_cast<double>(n - 1);
+  lo = static_cast<std::size_t>(std::clamp(i.lo(), 0.0, last));
+  hi = static_cast<std::size_t>(std::clamp(i.hi(), 0.0, last));
+  return true;
+}
+
+/// Truncation toward zero, mapped through the (monotone) endpoints.
+Interval truncI(const Interval& a) {
+  return a.isEmpty() ? a : Interval(std::trunc(a.lo()), std::trunc(a.hi()));
+}
 }  // namespace
 
 Interval Interval::whole() { return Interval(-kHuge, kHuge); }
@@ -176,6 +194,107 @@ Interval xorI(const Interval& a, const Interval& b) {
 Interval notI(const Interval& a) {
   if (a.isEmpty()) return Interval::empty();
   return fromBools(a.canBeTrue(), a.canBeFalse());
+}
+
+Interval intervalTransferScalar(expr::Op op, expr::Type type,
+                                const Interval& a, const Interval& b,
+                                const Interval& c) {
+  using expr::Op;
+  using expr::Type;
+  switch (op) {
+    case Op::kNot:
+      return notI(a);
+    case Op::kNeg:
+      return negI(a);
+    case Op::kAbs:
+      return absI(a);
+    case Op::kCast:
+      if (type == Type::kBool) {
+        // Truthiness of a numeric: 0 -> false, nonzero -> true.
+        if (a.isEmpty()) return a;
+        if (a.isPoint()) {
+          return a.lo() == 0.0 ? Interval::boolFalse() : Interval::boolTrue();
+        }
+        return a.containsZero() ? Interval::boolUnknown()
+                                : Interval::boolTrue();
+      }
+      return type == Type::kInt ? truncI(a) : a;
+    case Op::kAdd:
+      return addI(a, b);
+    case Op::kSub:
+      return subI(a, b);
+    case Op::kMul:
+      return mulI(a, b);
+    case Op::kDiv:
+      // Integer division truncates toward zero; the real-quotient interval
+      // does not contain the truncated values (1/4 is 0, not 0.25).
+      return type == Type::kInt ? truncI(divI(a, b)) : divI(a, b);
+    case Op::kMod:
+      return modI(a, b);
+    case Op::kMin:
+      return minI(a, b);
+    case Op::kMax:
+      return maxI(a, b);
+    case Op::kLt:
+      return ltI(a, b);
+    case Op::kLe:
+      return leI(a, b);
+    case Op::kGt:
+      return ltI(b, a);
+    case Op::kGe:
+      return leI(b, a);
+    case Op::kEq:
+      return eqI(a, b);
+    case Op::kNe:
+      return notI(eqI(a, b));
+    case Op::kAnd:
+      return andI(a, b);
+    case Op::kOr:
+      return orI(a, b);
+    case Op::kXor:
+      return xorI(a, b);
+    case Op::kIte:  // scalar result; no cast, unlike the concrete engine
+      if (a.isTrue()) return b;
+      if (a.isFalse()) return c;
+      return b.hull(c);
+    default:
+      return Interval::whole();
+  }
+}
+
+Interval selectI(const std::vector<Interval>& arr, const Interval& idx) {
+  Interval acc = Interval::empty();
+  std::size_t lo = 0, hi = 0;
+  if (reachedElements(idx, arr.size(), lo, hi)) {
+    for (std::size_t i = lo; i <= hi; ++i) acc = acc.hull(arr[i]);
+  }
+  return acc;
+}
+
+void storeI(std::vector<Interval>& arr, const Interval& idx,
+            const Interval& val) {
+  std::size_t lo = 0, hi = 0;
+  if (!reachedElements(idx, arr.size(), lo, hi)) return;
+  if (lo == hi) {
+    arr[lo] = val;  // definite write
+    return;
+  }
+  for (std::size_t i = lo; i <= hi; ++i) {
+    arr[i] = arr[i].hull(val);  // may or may not be written
+  }
+}
+
+void iteArrayI(const Interval& c, const std::vector<Interval>& t,
+               const std::vector<Interval>& f, std::vector<Interval>& out) {
+  if (c.isFalse()) {
+    out = f;
+    return;
+  }
+  out = t;
+  if (c.isTrue()) return;
+  for (std::size_t i = 0; i < out.size() && i < f.size(); ++i) {
+    out[i] = out[i].hull(f[i]);
+  }
 }
 
 }  // namespace stcg::interval

@@ -7,6 +7,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
+
+#include "expr/expr.h"
 
 namespace stcg::interval {
 
@@ -84,5 +87,38 @@ class Interval {
 [[nodiscard]] Interval orI(const Interval& a, const Interval& b);
 [[nodiscard]] Interval xorI(const Interval& a, const Interval& b);
 [[nodiscard]] Interval notI(const Interval& a);
+
+// Per-op forward transfer rules: the one statement of the forward interval
+// semantics, shared by the tree walker (interval/forward.h, also HC4's
+// forward pass) and the interval tape executor (analysis/interval_tape.h).
+
+/// Forward image of one scalar-result op (every op except kSelect and the
+/// array-result kStore/kIte) of result type `type` over operand intervals
+/// `a`, `b`, `c`. Unused operands are ignored; for kIte the arm that the
+/// condition `a` rules out is ignored too, so a lazy caller may pass any
+/// interval for it.
+[[nodiscard]] Interval intervalTransferScalar(expr::Op op, expr::Type type,
+                                              const Interval& a,
+                                              const Interval& b,
+                                              const Interval& c);
+
+/// kSelect: hull of the elements the integral index hull can reach, with
+/// out-of-range indices clamped to the ends as in the concrete semantics.
+/// Empty for an empty index or a zero-length array.
+[[nodiscard]] Interval selectI(const std::vector<Interval>& arr,
+                               const Interval& idx);
+
+/// kStore, in place on `arr` (a copy of the stored-into array): a definite
+/// write when the clamped index is one element, else `val` is hulled into
+/// every element the index can reach. An empty index writes nothing: the
+/// store is unreachable.
+void storeI(std::vector<Interval>& arr, const Interval& idx,
+            const Interval& val);
+
+/// Array-result kIte into `out`: the taken arm when the condition `c` is
+/// decided, else `t` hulled elementwise with `f` (over their common
+/// length). The arm `c` rules out is ignored.
+void iteArrayI(const Interval& c, const std::vector<Interval>& t,
+               const std::vector<Interval>& f, std::vector<Interval>& out);
 
 }  // namespace stcg::interval

@@ -16,6 +16,7 @@
 
 #include "analysis/interval_tape.h"
 #include "expr/builder.h"
+#include "interval/forward.h"
 #include "interval/interval.h"
 #include "lint/lint.h"
 
@@ -57,7 +58,7 @@ std::vector<Root> collectRoots(const CompiledModel& cm) {
 void runHazardChecks(const CompiledModel& cm,
                      const analysis::StateInvariant& inv,
                      DiagnosticSink& sink) {
-  analysis::IntervalEvaluator eval(inv.env);
+  interval::ForwardEvaluator eval(inv.env);
   std::unordered_set<const expr::Expr*> visited;
   // Several distinct nodes often carry the same hazard (e.g. one scan
   // index feeding eight slot reads); report each rendered finding once.

@@ -19,6 +19,7 @@
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "expr/tape.h"
+#include "interval/forward.h"
 #include "util/rng.h"
 
 namespace stcg::fuzz {
@@ -37,6 +38,13 @@ inline bool sameScalar(const expr::Scalar& a, const expr::Scalar& b) {
   if (a.type() != b.type()) return false;
   if (a.type() == expr::Type::kReal) return sameBits(a.toReal(), b.toReal());
   return a == b;
+}
+
+// Bitwise interval comparison (all empty intervals compare equal).
+inline bool sameInterval(const interval::Interval& a,
+                         const interval::Interval& b) {
+  if (a.isEmpty() || b.isEmpty()) return a.isEmpty() == b.isEmpty();
+  return sameBits(a.lo(), b.lo()) && sameBits(a.hi(), b.hi());
 }
 
 inline expr::ExprPtr clampInt(expr::ExprPtr e) {
@@ -233,6 +241,50 @@ inline expr::Env randomEnv(Rng& rng, const FuzzDag& d) {
       ai.push_back(Scalar::i(rng.uniformInt(-20, 20)));
     }
     env.setArray(kIntArrId, std::move(ai));
+  }
+  return env;
+}
+
+/// Random interval environment over the DAG's variables: each scalar is
+/// bound with probability 0.6 to a random sub-interval of its declared
+/// domain (unbound ones fall back to that domain); each array variable is
+/// bound with probability 0.5, or always when `bindArrays` is set.
+inline interval::IntervalEnv randomIntervalEnv(Rng& rng, const FuzzDag& d,
+                                               bool bindArrays) {
+  using interval::Interval;
+  interval::IntervalEnv env;
+  for (const auto& v : d.vars) {
+    if (!rng.chance(0.6)) continue;
+    if (v.type == expr::Type::kReal) {
+      double a = rng.uniformReal(v.lo, v.hi);
+      double c = rng.uniformReal(v.lo, v.hi);
+      if (a > c) std::swap(a, c);
+      env.set(v.id, Interval(a, c));
+    } else {
+      std::int64_t a = rng.uniformInt(static_cast<std::int64_t>(v.lo),
+                                      static_cast<std::int64_t>(v.hi));
+      std::int64_t c = rng.uniformInt(static_cast<std::int64_t>(v.lo),
+                                      static_cast<std::int64_t>(v.hi));
+      if (a > c) std::swap(a, c);
+      env.set(v.id,
+              Interval(static_cast<double>(a), static_cast<double>(c)));
+    }
+  }
+  if (bindArrays || rng.chance(0.5)) {
+    std::vector<Interval> elems;
+    for (int i = 0; i < 4; ++i) {
+      const double m = rng.uniformReal(-50.0, 50.0);
+      elems.push_back(Interval(m, m + rng.uniformReal(0.0, 10.0)));
+    }
+    env.setArray(kRealArrId, std::move(elems));
+  }
+  if (bindArrays || rng.chance(0.5)) {
+    std::vector<Interval> elems;
+    for (int i = 0; i < 3; ++i) {
+      const auto m = static_cast<double>(rng.uniformInt(-20, 20));
+      elems.push_back(Interval(m, m + 3.0));
+    }
+    env.setArray(kIntArrId, std::move(elems));
   }
   return env;
 }

@@ -6,6 +6,7 @@
 #include "benchmodels/benchmodels.h"
 #include "compile/compiler.h"
 #include "expr/builder.h"
+#include "interval/forward.h"
 #include "model/model.h"
 #include "sim/simulator.h"
 #include "stcg/stcg_generator.h"
@@ -18,9 +19,9 @@ using expr::Type;
 using model::Model;
 
 TEST(IntervalEvalTest, ScalarOpsUnderEnv) {
-  IntervalEnv env;
+  interval::IntervalEnv env;
   env.set(0, interval::Interval(2, 4));
-  IntervalEvaluator eval(env);
+  interval::ForwardEvaluator eval(env);
   const auto x = expr::mkVar({0, "x", Type::kInt, -100, 100});
   EXPECT_EQ(eval.evalScalar(expr::addE(x, expr::cInt(1))),
             interval::Interval(3, 5));
@@ -30,16 +31,16 @@ TEST(IntervalEvalTest, ScalarOpsUnderEnv) {
 }
 
 TEST(IntervalEvalTest, UnboundInputUsesDeclaredDomain) {
-  IntervalEnv env;
-  IntervalEvaluator eval(env);
+  interval::IntervalEnv env;
+  interval::ForwardEvaluator eval(env);
   const auto x = expr::mkVar({0, "x", Type::kInt, 3, 9});
   EXPECT_EQ(eval.evalScalar(x), interval::Interval(3, 9));
 }
 
 TEST(IntervalEvalTest, ArrayStateBindsElementwise) {
-  IntervalEnv env;
+  interval::IntervalEnv env;
   env.setArray(0, {interval::Interval(0, 1), interval::Interval(5, 5)});
-  IntervalEvaluator eval(env);
+  interval::ForwardEvaluator eval(env);
   const auto arr = expr::mkVarArray(0, "a", Type::kInt, 2);
   const auto i = expr::mkVar({1, "i", Type::kInt, 0, 1});
   const auto sel = expr::selectE(arr, i);

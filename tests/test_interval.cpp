@@ -1,11 +1,19 @@
 // Unit and property tests for interval arithmetic, boxes, and the HC4
 // contractor — including the soundness property the solver's UNSAT answers
-// depend on (contraction never removes a satisfying point).
+// depend on (contraction never removes a satisfying point) — plus the
+// shared forward semantics: edge cases of the kSelect/kStore rules pinned
+// across the tree walker, HC4 and the interval tape, and HC4's Box leaves
+// against the IntervalEnv leaves on every bench model.
 #include <gtest/gtest.h>
 
+#include "analysis/interval_tape.h"
+#include "benchmodels/benchmodels.h"
+#include "compile/compiler.h"
 #include "expr/builder.h"
 #include "expr/eval.h"
+#include "expr/subst.h"
 #include "interval/box.h"
+#include "interval/forward.h"
 #include "interval/hc4.h"
 #include "util/rng.h"
 
@@ -272,6 +280,136 @@ TEST_P(Hc4SoundnessSweep, ContractionNeverRemovesWitnesses) {
 
 INSTANTIATE_TEST_SUITE_P(RandomConstraints, Hc4SoundnessSweep,
                          ::testing::Range(0, 40));
+
+// ---------- Shared forward semantics ----------
+
+TEST(ForwardRules, SelectAndStoreEdgeCases) {
+  const std::vector<Interval> arr{Interval(1, 2), Interval(5, 5),
+                                  Interval(-3, 0)};
+  // An index interval holding no integer reaches no element.
+  EXPECT_TRUE(selectI(arr, Interval::empty()).isEmpty());
+  EXPECT_TRUE(selectI(arr, Interval(0.25, 0.75)).isEmpty());
+  auto stored = arr;
+  storeI(stored, Interval(0.25, 0.75), Interval::point(9));
+  EXPECT_EQ(stored, arr) << "an empty-index store is unreachable: no write";
+  std::vector<Interval> single{Interval(1, 2)};
+  storeI(single, Interval::empty(), Interval::point(9));
+  EXPECT_EQ(single[0], Interval(1, 2));
+  // Zero-length array: nothing to read, nothing to write.
+  std::vector<Interval> none;
+  EXPECT_TRUE(selectI(none, Interval(0, 3)).isEmpty());
+  storeI(none, Interval(0, 3), Interval::point(9));
+  EXPECT_TRUE(none.empty());
+  // Out-of-range indices clamp to the ends; a one-element reach is a
+  // definite write, a wider one hulls.
+  EXPECT_EQ(selectI(arr, Interval(5, 7)), Interval(-3, 0));
+  EXPECT_EQ(selectI(arr, Interval(-4, 0)), Interval(1, 2));
+  stored = arr;
+  storeI(stored, Interval(-2, -1), Interval::point(9));
+  EXPECT_EQ(stored[0], Interval::point(9));
+  stored = arr;
+  storeI(stored, Interval(1, 4), Interval::point(9));
+  EXPECT_EQ(stored[1], Interval(5, 9));
+  EXPECT_EQ(stored[2], Interval(-3, 9));
+}
+
+/// Judge scalar `roots` through the tree walker and the interval tape
+/// under `env`; both must agree exactly, and the walker's results return.
+std::vector<Interval> walkerAndTape(const std::vector<ExprPtr>& roots,
+                                    const IntervalEnv& env) {
+  ForwardEvaluator walker(env);
+  const auto tape = analysis::intervalVerdicts(roots, env);
+  std::vector<Interval> out;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    out.push_back(walker.evalScalar(roots[i]));
+    EXPECT_EQ(out.back(), tape[i]) << "root " << i;
+  }
+  return out;
+}
+
+TEST(ForwardRules, EmptyIndexAgreesAcrossWalkerHc4AndTape) {
+  // i's declared domain holds no integer, so every engine sees an empty
+  // index interval; j ranges over the whole array.
+  const VarInfo iv{0, "i", Type::kInt, 0.25, 0.75};
+  const VarInfo jv{1, "j", Type::kInt, 0, 2};
+  const auto i = mkVar(iv);
+  const auto j = mkVar(jv);
+  const auto arr =
+      expr::cArray(Type::kInt, {Scalar::i(1), Scalar::i(5), Scalar::i(-3)});
+  const auto one = expr::cArray(Type::kInt, {Scalar::i(7)});
+  const std::vector<ExprPtr> goals{
+      // The stored 9 never lands: element 0 stays 1.
+      expr::eqE(expr::selectE(expr::storeE(arr, i, cInt(9)), cInt(0)),
+                cInt(9)),
+      // One element: no definite write either.
+      expr::eqE(expr::selectE(expr::storeE(one, i, cInt(9)), j), cInt(7)),
+      // A read at an empty index is empty, and so is what uses it.
+      expr::ltE(expr::selectE(arr, i), cInt(100)),
+      // Reachable reads still hull every element.
+      expr::leE(expr::selectE(expr::storeE(arr, i, cInt(9)), j), cInt(5)),
+  };
+  const auto walked = walkerAndTape(goals, IntervalEnv{});
+  EXPECT_TRUE(walked[0].isFalse());
+  EXPECT_TRUE(walked[1].isTrue());
+  EXPECT_TRUE(walked[2].isEmpty());
+  EXPECT_TRUE(walked[3].isTrue());
+  const Box box({iv, jv});
+  for (std::size_t g = 0; g < goals.size(); ++g) {
+    Hc4Contractor hc4(goals[g]);
+    EXPECT_EQ(hc4.forwardEval(box), walked[g]) << "goal " << g;
+  }
+}
+
+TEST(ForwardRules, ZeroLengthArrayAgreesAcrossWalkerAndTape) {
+  // Array expressions always have a positive width; a zero-length array
+  // only arises as an IntervalEnv binding. (HC4 binds no array leaves, so
+  // this case is the walker's and the tape's alone.)
+  const auto a = expr::mkVarArray(5, "a", Type::kInt, 2);
+  const auto j = mkVar({1, "j", Type::kInt, 0, 3});
+  IntervalEnv env;
+  env.setArray(5, {});
+  const std::vector<ExprPtr> roots{
+      expr::selectE(a, j),
+      expr::selectE(expr::storeE(a, j, cInt(9)), cInt(0)),
+      expr::ltE(expr::selectE(a, j), cInt(1)),
+  };
+  for (const Interval& v : walkerAndTape(roots, env)) {
+    EXPECT_TRUE(v.isEmpty());
+  }
+}
+
+TEST(Hc4Leaves, ForwardEvalMatchesEnvVerdictsOnFoldedGoals) {
+  // Every goal's path constraint folded at the initial state leaves a
+  // residual over the inputs: HC4 over the full input Box must judge it
+  // exactly as the env-leaf engines do with inputs at their declared
+  // domains.
+  for (const auto& info : bench::allBenchModels()) {
+    const auto cm = compile::compile(info.build());
+    const expr::Env init = cm.initialStateEnv();
+    std::vector<ExprPtr> goals;
+    for (const auto& br : cm.branches) {
+      goals.push_back(expr::substitute(br.pathConstraint, init));
+    }
+    for (const auto& d : cm.decisions) {
+      for (const auto& c : d.conditions) {
+        goals.push_back(expr::substitute(expr::andE(d.activation, c), init));
+        goals.push_back(expr::substitute(
+            expr::andE(d.activation, expr::notE(c)), init));
+      }
+    }
+    for (const auto& obj : cm.objectives) {
+      goals.push_back(
+          expr::substitute(expr::andE(obj.activation, obj.cond), init));
+    }
+    const auto verdicts = analysis::intervalVerdicts(goals, IntervalEnv{});
+    const Box box(cm.inputInfos());
+    for (std::size_t g = 0; g < goals.size(); ++g) {
+      Hc4Contractor hc4(goals[g]);
+      EXPECT_EQ(hc4.forwardEval(box), verdicts[g])
+          << info.name << " goal " << g << ": " << goals[g]->toString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace stcg::interval

@@ -11,9 +11,7 @@
 //     that consume distances through `d < bound`, masked lanes pinned
 //     to +inf, the climber's accept order provably unchanged, and the
 //     retired/skipped overlay accounting closed,
-//   - lane-parallel interval slots: intervalVerdictsBatch vs per-env
-//     intervalVerdicts, and sub-box dead-branch proofs validated
-//     against random simulation.
+//   - sub-box dead-branch proofs validated against random simulation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/interval_tape.h"
 #include "analysis/reachability.h"
 #include "benchmodels/benchmodels.h"
 #include "compile/compiler.h"
@@ -30,7 +27,6 @@
 #include "expr/batch_tape.h"
 #include "expr/builder.h"
 #include "expr/tape.h"
-#include "interval/interval.h"
 #include "sim/simulator.h"
 #include "solver/distance_tape.h"
 #include "util/env.h"
@@ -54,7 +50,6 @@ using expr::Scalar;
 using expr::SlotRef;
 using expr::Type;
 using expr::VarInfo;
-using interval::Interval;
 
 constexpr int kLanes = 8;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -583,62 +578,12 @@ TEST(EarlyExitMask, ClimberAcceptOrderAndFinalBestUnchanged) {
   }
 }
 
-// ----- Lane-parallel interval slots ----------------------------------------
-
-TEST(BatchInterval, LaneVerdictsMatchPerEnvVerdictsOnBenchModels) {
-  Rng rng(66180);
-  for (const auto& info : bench::allBenchModels()) {
-    const auto cm = compile::compile(info.build());
-    const auto inv = analysis::computeStateInvariant(cm);
-    std::vector<ExprPtr> roots;
-    for (const auto& br : cm.branches) roots.push_back(br.pathConstraint);
-    if (roots.empty()) continue;
-
-    // One random input sub-box per lane on top of the state invariant —
-    // the exact shape the sub-box refutation layer binds.
-    std::vector<analysis::IntervalEnv> envs;
-    for (int l = 0; l < kLanes; ++l) {
-      analysis::IntervalEnv env = inv.env;
-      for (const auto& in : cm.inputs) {
-        const auto& v = in.info;
-        if (v.type == Type::kReal) {
-          double a = rng.uniformReal(v.lo, v.hi);
-          double bb = rng.uniformReal(v.lo, v.hi);
-          if (a > bb) std::swap(a, bb);
-          env.set(v.id, Interval(a, bb));
-        } else {
-          std::int64_t a = rng.uniformInt(static_cast<std::int64_t>(v.lo),
-                                          static_cast<std::int64_t>(v.hi));
-          std::int64_t bb = rng.uniformInt(static_cast<std::int64_t>(v.lo),
-                                           static_cast<std::int64_t>(v.hi));
-          if (a > bb) std::swap(a, bb);
-          env.set(v.id, Interval(static_cast<double>(a),
-                                 static_cast<double>(bb)));
-        }
-      }
-      envs.push_back(std::move(env));
-    }
-
-    const auto lanes = analysis::intervalVerdictsBatch(roots, envs);
-    ASSERT_EQ(lanes.size(), envs.size()) << info.name;
-    for (std::size_t e = 0; e < envs.size(); ++e) {
-      const auto single = analysis::intervalVerdicts(roots, envs[e]);
-      ASSERT_EQ(lanes[e].size(), single.size()) << info.name;
-      for (std::size_t i = 0; i < single.size(); ++i) {
-        EXPECT_TRUE(lanes[e][i] == single[i])
-            << info.name << " env " << e << " root " << i << ": ["
-            << lanes[e][i].lo() << "," << lanes[e][i].hi() << "] vs ["
-            << single[i].lo() << "," << single[i].hi() << "]";
-      }
-    }
-  }
-}
+// ----- Sub-box dead-branch proofs -----------------------------------------
 
 TEST(SubBoxRefutation, DeadBranchProofsHoldUnderRandomSimulation) {
   for (const auto& info : bench::allBenchModels()) {
     const auto cm = compile::compile(info.build());
     analysis::ReachabilityOptions opt;
-    ASSERT_GT(opt.subBoxLanes, 1) << "the lane-parallel layer defaults on";
     const auto report = analysis::findDeadBranches(cm, opt);
     if (report.deadBranches.empty()) continue;
 

@@ -2,7 +2,8 @@
 // instruction tape and the tree walkers it replaces.
 //
 //   - differential fuzz over random expression DAGs (every Op kind):
-//     concrete tape vs tree Evaluator, interval tape vs IntervalEvaluator,
+//     concrete tape vs tree Evaluator, interval tape vs the interval tree
+//     walker (interval::ForwardEvaluator),
 //     incremental dirty-cone updates vs full re-evaluation,
 //   - DistanceTape vs branchDistance (bitwise costs, including the
 //     incremental update path the hill climber uses),
@@ -25,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/interval_eval.h"
 #include "analysis/interval_tape.h"
 #include "analysis/reachability.h"
 #include "benchmodels/benchmodels.h"
@@ -36,6 +36,7 @@
 #include "expr/eval.h"
 #include "expr/tape.h"
 #include "expr/tape_verify.h"
+#include "interval/forward.h"
 #include "interval/interval.h"
 #include "model/model.h"
 #include "sim/simulator.h"
@@ -59,6 +60,7 @@ using fuzz::makeFuzzDag;
 using fuzz::randomEnv;
 using fuzz::randomScalarFor;
 using fuzz::sameBits;
+using fuzz::sameInterval;
 using fuzz::sameScalar;
 
 using expr::Env;
@@ -71,11 +73,7 @@ using expr::VarInfo;
 using interval::Interval;
 
 // Bitwise comparison helpers live in fuzz_dag.h (shared with the batch
-// executor's differential tests); the interval flavour is only used here.
-bool sameInterval(const Interval& a, const Interval& b) {
-  if (a.isEmpty() || b.isEmpty()) return a.isEmpty() == b.isEmpty();
-  return sameBits(a.lo(), b.lo()) && sameBits(a.hi(), b.hi());
-}
+// executor's differential tests and tools/tape_audit).
 
 // ----- Tape basics ---------------------------------------------------------
 
@@ -297,7 +295,7 @@ TEST(TapeFuzz, ScalarTapeMatchesTreeEvaluatorBitwise) {
   }
 }
 
-// ----- Differential fuzz: interval tape vs IntervalEvaluator ---------------
+// ----- Differential fuzz: interval tape vs the tree walker -----------------
 
 TEST(TapeFuzz, IntervalTapeMatchesTreeIntervalEvaluator) {
   Rng rng(77001);
@@ -321,48 +319,16 @@ TEST(TapeFuzz, IntervalTapeMatchesTreeIntervalEvaluator) {
 
     // Bind a random subset; unbound variables must fall back to their
     // declared domains identically in both engines.
-    analysis::IntervalEnv env;
-    for (const auto& v : d.vars) {
-      if (!rng.chance(0.6)) continue;
-      if (v.type == Type::kReal) {
-        double a = rng.uniformReal(v.lo, v.hi);
-        double c = rng.uniformReal(v.lo, v.hi);
-        if (a > c) std::swap(a, c);
-        env.set(v.id, Interval(a, c));
-      } else {
-        std::int64_t a = rng.uniformInt(static_cast<std::int64_t>(v.lo),
-                                        static_cast<std::int64_t>(v.hi));
-        std::int64_t c = rng.uniformInt(static_cast<std::int64_t>(v.lo),
-                                        static_cast<std::int64_t>(v.hi));
-        if (a > c) std::swap(a, c);
-        env.set(v.id, Interval(static_cast<double>(a),
-                               static_cast<double>(c)));
-      }
-    }
-    if (rng.chance(0.5)) {
-      std::vector<Interval> elems;
-      for (int i = 0; i < 4; ++i) {
-        const double m = rng.uniformReal(-50.0, 50.0);
-        elems.push_back(Interval(m, m + rng.uniformReal(0.0, 10.0)));
-      }
-      env.setArray(kRealArrId, std::move(elems));
-    }
-    if (rng.chance(0.5)) {
-      std::vector<Interval> elems;
-      for (int i = 0; i < 3; ++i) {
-        const auto m = static_cast<double>(rng.uniformInt(-20, 20));
-        elems.push_back(Interval(m, m + 3.0));
-      }
-      env.setArray(kIntArrId, std::move(elems));
-    }
+    const interval::IntervalEnv env =
+        fuzz::randomIntervalEnv(rng, d, /*bindArrays=*/false);
 
     analysis::IntervalTapeExecutor ex(b.finish());
     ex.bind(env);
     ex.run();
-    analysis::IntervalEvaluator ev(env);
+    interval::ForwardEvaluator ev(env);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       if (roots[i]->isArray()) {
-        const auto tree = ev.evalArray(roots[i]);
+        const auto& tree = ev.evalArray(roots[i]);
         const auto& tape = ex.array(slots[i]);
         ASSERT_EQ(tree.size(), tape.size()) << "trial " << trial;
         for (std::size_t j = 0; j < tree.size(); ++j) {
@@ -497,7 +463,7 @@ TEST(IntervalTape, BatchVerdictsMatchTreeWalkUnderModelInvariants) {
     if (roots.empty()) continue;
     const auto batch = analysis::intervalVerdicts(roots, inv.env);
     ASSERT_EQ(batch.size(), roots.size()) << info.name;
-    analysis::IntervalEvaluator ev(inv.env);
+    interval::ForwardEvaluator ev(inv.env);
     for (std::size_t i = 0; i < roots.size(); ++i) {
       const Interval tree = ev.evalScalar(roots[i]);
       EXPECT_TRUE(sameInterval(tree, batch[i]))
@@ -681,9 +647,9 @@ TEST(EvaluatorRegression, PinnedRootsDoNotGrowOnRepeatedEval) {
 TEST(IntervalEvaluatorRegression, PinnedRootsDoNotGrowOnRepeatedEval) {
   const auto v = expr::mkVar({0, "v", Type::kReal, -5, 5});
   const auto root = expr::mulE(v, v);
-  analysis::IntervalEnv env;
+  interval::IntervalEnv env;
   env.set(0, Interval(1.0, 2.0));
-  analysis::IntervalEvaluator ev(env);
+  interval::ForwardEvaluator ev(env);
   for (int i = 0; i < 100; ++i) (void)ev.evalScalar(root);
   EXPECT_EQ(ev.pinnedRootCount(), 1u);
   const auto arr = expr::mkVarArray(1, "a", Type::kReal, 3);

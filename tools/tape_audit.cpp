@@ -9,7 +9,11 @@
 //      verifier sees shapes no hand-written model exercises.
 //   3. random DAGs:   fuzz_dag expression corpora run on the tape
 //      executor — full run plus incremental cone replay — and every root
-//      is compared bitwise against the tree Evaluator.
+//      is compared bitwise against the tree Evaluator; the same tape then
+//      runs on the interval tape executor under a random interval
+//      environment (both array variables bound) and every root is compared
+//      bitwise against the interval tree walker, so the sweep also gates
+//      the shared forward interval rules.
 //
 // check.sh runs the full sweep inside the ASan/UBSan build and the
 // `--quick` gate inside the Release bench build.
@@ -30,6 +34,7 @@
 #include "expr/eval.h"
 #include "expr/tape.h"
 #include "expr/tape_verify.h"
+#include "interval/forward.h"
 #include "model/model.h"
 #include "solver/distance_tape.h"
 #include "util/rng.h"
@@ -233,6 +238,33 @@ void fuzzDagTrial(Rng& rng, int trial) {
     ex.setVar(v.id, nv);
     ex.runCone(v.id);
     checkAll("cone");
+  }
+
+  // Interval tape vs the interval tree walker on the same tape.
+  const interval::IntervalEnv ienv =
+      fuzz::randomIntervalEnv(rng, d, /*bindArrays=*/true);
+  analysis::IntervalTapeExecutor iex(tape);
+  iex.bind(ienv);
+  iex.run();
+  interval::ForwardEvaluator walker(ienv);
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const std::string at = where + " interval root " + std::to_string(i);
+    if (roots[i]->isArray()) {
+      const auto& want = walker.evalArray(roots[i]);
+      const auto& got = iex.array(slots[i]);
+      if (want.size() != got.size()) {
+        fail(at + ": array width mismatch");
+        continue;
+      }
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        if (!fuzz::sameInterval(want[j], got[j])) {
+          fail(at + " [" + std::to_string(j) + "]: tape != tree");
+        }
+      }
+    } else if (!fuzz::sameInterval(walker.evalScalar(roots[i]),
+                                   iex.scalar(slots[i]))) {
+      fail(at + ": tape != tree");
+    }
   }
 }
 
